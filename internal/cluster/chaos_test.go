@@ -7,9 +7,10 @@
 //
 // Across well over 100 iterations of induced failure — workers stalling
 // mid-reply, a shard's whole replica set unreachable, the router's dial
-// path degraded — every single router response must be either
-// rank-for-rank identical to the monolithic ShardedIndex answer or an
-// explicitly labeled partial result. Zero torn or silently-wrong
+// path degraded, the router itself overloaded — every single router
+// response must be either rank-for-rank identical to the monolithic
+// ShardedIndex answer, an explicitly labeled partial result, or (under
+// overload) a 429 shed before any fan-out. Zero torn or silently-wrong
 // responses, ever.
 //
 // The faultinject registry is process-global, so latches installed here
@@ -19,7 +20,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -30,6 +33,7 @@ import (
 	"time"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
+	"github.com/spectral-lpm/spectrallpm/internal/server"
 	"github.com/spectral-lpm/spectrallpm/internal/server/faultinject"
 )
 
@@ -187,7 +191,7 @@ func TestChaosWorkerStallHedgeRescues(t *testing.T) {
 		f.checkResponse(t, i, bi, got)
 		runtime.Gosched() // single-P runnext starvation: let released goroutines park
 	}
-	if rt.hedges.Load() == 0 {
+	if rt.remote().hedges.Load() == 0 {
 		t.Fatal("stalled replies never triggered a hedge")
 	}
 }
@@ -258,7 +262,7 @@ func TestChaosShardOutagePartialLabeled(t *testing.T) {
 		}
 		f.checkResponse(t, -1, bi, got)
 	}
-	if rt.partials.Load() == 0 {
+	if rt.remote().partials.Load() == 0 {
 		t.Fatal("router partial counter never moved")
 	}
 }
@@ -311,7 +315,7 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 	rt := startRouter(t, f.topology(), func(c *RouterConfig) {
 		c.AttemptTimeout = 60 * time.Millisecond
 		c.Retries = -1 // no retry: the single stalled attempt must burn out
-		c.DefaultTimeout = 250 * time.Millisecond
+		c.Server.DefaultTimeout = 250 * time.Millisecond
 	})
 	handshake(t, rt)
 
@@ -332,5 +336,78 @@ func TestChaosDeadlinePropagation(t *testing.T) {
 			t.Fatalf("iter %d: error response carries a partial body: %q", i, w.Body)
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestChaosRouterOverloadSheds — Phase D. The router's shell admits one
+// request and queues one more; a worker stalled mid-reply holds the
+// admitted one. A third concurrent request must shed with 429 and a
+// Retry-After before any fan-out (no router.dial fires for it), and once
+// the worker is released the first two answer oracle-exact.
+func TestChaosRouterOverloadSheds(t *testing.T) {
+	defer faultinject.DisarmAll()
+	f := newChaosFixture(t, 1, 1, nil)
+	rt := startRouter(t, f.topology(), func(c *RouterConfig) {
+		c.Server.MaxInFlight = 1
+		c.Server.MaxQueued = 1
+		c.Server.DefaultTimeout = 10 * time.Second
+		c.AttemptTimeout = 10 * time.Second
+	})
+	handshake(t, rt)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	faultinject.Arm(faultinject.PointWorkerReply, func() {
+		first := false
+		once.Do(func() { first = true })
+		if first {
+			close(entered)
+			<-release
+		}
+	})
+	var dials atomic.Int64
+	faultinject.Arm(faultinject.PointRouterDial, func() { dials.Add(1) })
+
+	body := boxBody(f.boxes[0])
+	results := make(chan *httptest.ResponseRecorder, 2)
+	go func() { results <- rpost(rt, "/v1/box", body) }()
+	<-entered // the admitted request is stalled inside the worker
+	go func() { results <- rpost(rt, "/v1/box", body) }()
+	queued := func() float64 {
+		var st map[string]any
+		if err := json.Unmarshal(rget(rt, "/stats").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		q, _ := st["queued"].(float64)
+		return q
+	}
+	for deadline := time.Now().Add(5 * time.Second); queued() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+	}
+
+	before := dials.Load()
+	w := rpost(rt, "/v1/box", body)
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("overloaded router answered %d %q, want 429", w.Code, w.Body)
+	}
+	if w.Header().Get("Retry-After") == "" {
+		t.Fatal("shed response carries no Retry-After")
+	}
+	if n := dials.Load() - before; n != 0 {
+		t.Fatalf("shed request fired %d router.dial", n)
+	}
+
+	close(release)
+	for i := 0; i < 2; i++ {
+		got := decodeBox(t, <-results)
+		if got.ShardsMissing != nil {
+			t.Fatalf("request %d: partial %v after release", i, got.ShardsMissing)
+		}
+		f.checkResponse(t, i, 0, got)
+	}
+	if n := server.ProtoLive(); n != 0 {
+		t.Fatalf("%d protocol scratches leaked", n)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,6 +111,7 @@ func startRouter(t testing.TB, topo *Topology, mut func(*RouterConfig)) *Router 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { rt.Shutdown(context.Background()) })
 	return rt
 }
 
@@ -596,7 +598,7 @@ func TestReplicaEjectionAndReinstatement(t *testing.T) {
 
 	all := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{8, 8}}
 	want := oracleRows(t, oracle, all)
-	flaky := rt.shards[0].replicas[0]
+	flaky := rt.remote().shards[0].replicas[0]
 	if flaky.addr != flakyAddr {
 		t.Fatalf("replica order: %s != %s", flaky.addr, flakyAddr)
 	}
@@ -671,7 +673,7 @@ func TestHedgedRead(t *testing.T) {
 			t.Fatalf("hedged query %d wrong", i)
 		}
 	}
-	if rt.hedges.Load() == 0 {
+	if rt.remote().hedges.Load() == 0 {
 		t.Fatal("no hedged request was ever launched")
 	}
 }
@@ -757,6 +759,87 @@ func TestTornReplyRejected(t *testing.T) {
 	}
 	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{0, 5}}}); err == nil {
 		t.Error("run past numPages accepted")
+	}
+	// Cross-wired: a run inside [0,numPages) but on shard 1's pages.
+	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{1, 1}}}); err == nil {
+		t.Error("run on another shard's pages accepted")
+	}
+	if err := g.validatePagesReply(1, &pagesReply{Runs: [][]int{{1, 1}}}); err != nil {
+		t.Errorf("good pages reply rejected: %v", err)
+	}
+}
+
+// TestHandshakeRequiresShardOrder pins the merge rule's precondition: the
+// rank blocks must tile [0, N) in shard-id order. Blocks that tile in
+// another order are refused with a diagnostic, and the router stays
+// warming instead of answering.
+func TestHandshakeRequiresShardOrder(t *testing.T) {
+	info := func(shard, off, recs int) string {
+		return fmt.Sprintf(`{"shard":%d,"points":false,"d":2,"dims":[4,2],"lo":[%d,0],"hi":[%d,1],`+
+			`"rank_offset":%d,"records":%d,"total_records":8,"records_per_page":4}`, shard, 2*shard, 2*shard+1, off, recs)
+	}
+	fake := func(doc string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write([]byte(doc))
+		}))
+		t.Cleanup(ts.Close)
+		return strings.TrimPrefix(ts.URL, "http://")
+	}
+	var mu sync.Mutex
+	var logs []string
+	topo := &Topology{Shards: []ShardReplicas{
+		{Shard: 0, Replicas: []string{fake(info(0, 4, 4))}},
+		{Shard: 1, Replicas: []string{fake(info(1, 0, 4))}},
+	}}
+	rt := startRouter(t, topo, func(c *RouterConfig) {
+		c.Logf = func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+	})
+	if rt.Ready() {
+		t.Fatal("handshake accepted rank blocks out of shard order")
+	}
+	mu.Lock()
+	diag := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(diag, "do not tile [0,8) in shard order") {
+		t.Fatalf("no shard-order diagnostic in logs:\n%s", diag)
+	}
+	if w := rpost(rt, "/v1/box", `{"start":[0,0],"dims":[4,2]}`); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("query with refused geometry: status %d", w.Code)
+	}
+
+	parse := func(docs ...string) (*geometry, error) {
+		infos := make([]*shardInfo, len(docs))
+		for i, doc := range docs {
+			infos[i] = new(shardInfo)
+			if err := json.Unmarshal([]byte(doc), infos[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buildGeometry(infos)
+	}
+	if _, err := parse(info(0, 0, 4), info(1, 4, 4)); err != nil {
+		t.Fatalf("tiling blocks refused: %v", err)
+	}
+	if _, err := parse(info(0, 0, 4), info(1, 3, 4)); err == nil {
+		t.Fatal("overlapping blocks accepted")
+	}
+	if _, err := parse(info(0, 0, 3), info(1, 4, 4)); err == nil {
+		t.Fatal("blocks with a hole accepted")
+	}
+	// owner is a binary search over prefix offsets; an empty block shares
+	// its successor's offset and owns nothing.
+	g, err := parse(info(0, 0, 4), info(1, 4, 0), info(2, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, want := range []int{0, 0, 0, 0, 2, 2, 2, 2} {
+		if got := g.owner(rank); got != want {
+			t.Errorf("owner(%d) = %d, want %d", rank, got, want)
+		}
 	}
 }
 

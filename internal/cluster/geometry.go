@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
+	"github.com/spectral-lpm/spectrallpm/internal/server"
 )
 
 // shardInfo is one worker's self-description — the wire form of
@@ -50,8 +51,8 @@ type geometry struct {
 
 // fetchShardInfo asks shard s's replica set for its self-description,
 // through the same retry/hedge/health machinery as queries.
-func (rt *Router) fetchShardInfo(ctx context.Context, s int) (*shardInfo, error) {
-	data, status, err := rt.fetch(ctx, s, "/v1/shardinfo", nil)
+func (r *Remote) fetchShardInfo(ctx context.Context, s int) (*shardInfo, error) {
+	data, status, err := r.fetch(ctx, s, "/v1/shardinfo", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,38 +73,39 @@ func (rt *Router) fetchShardInfo(ctx context.Context, s int) (*shardInfo, error)
 // once all are known, validates and publishes the geometry. Unreachable
 // workers leave gaps to retry on the next call; an inconsistent set is
 // discarded whole so a fixed fleet can re-handshake from scratch.
-func (rt *Router) refreshGeometryLocked(ctx context.Context) {
-	for s := range rt.shards {
-		if rt.infos[s] != nil {
+func (r *Remote) refreshGeometryLocked(ctx context.Context) {
+	for s := range r.shards {
+		if r.infos[s] != nil {
 			continue
 		}
-		info, err := rt.fetchShardInfo(ctx, s)
+		info, err := r.fetchShardInfo(ctx, s)
 		if err != nil {
-			rt.cfg.Logf("geometry handshake with shard %d pending: %v", s, err)
+			r.cfg.Logf("geometry handshake with shard %d pending: %v", s, err)
 			continue
 		}
-		rt.infos[s] = info
+		r.infos[s] = info
 	}
-	for s := range rt.shards {
-		if rt.infos[s] == nil {
+	for s := range r.shards {
+		if r.infos[s] == nil {
 			return
 		}
 	}
-	g, err := buildGeometry(rt.infos)
+	g, err := buildGeometry(r.infos)
 	if err != nil {
-		rt.cfg.Logf("discarding inconsistent shard geometry: %v", err)
-		for s := range rt.infos {
-			rt.infos[s] = nil
+		r.cfg.Logf("discarding inconsistent shard geometry: %v", err)
+		for s := range r.infos {
+			r.infos[s] = nil
 		}
 		return
 	}
-	rt.geo.Store(g)
-	rt.cfg.Logf("geometry complete: %d shards, %d records, %d dims", len(rt.shards), g.total, g.d)
+	r.geo.Store(g)
+	r.cfg.Logf("geometry complete: %d shards, %d records, %d dims", len(r.shards), g.total, g.d)
 }
 
 // buildGeometry assembles and cross-checks the per-shard reports: every
 // worker must agree on the global frame, and the rank blocks must tile
-// [0, total) exactly.
+// [0, total) exactly, in shard order — the only order ShardedIndex writes,
+// and the order that makes concatenating parts in shard order the merge.
 func buildGeometry(infos []*shardInfo) (*geometry, error) {
 	ref := infos[0]
 	if ref.D <= 0 || len(ref.Dims) != ref.D || ref.TotalRecords <= 0 || ref.RecordsPerPage <= 0 {
@@ -121,6 +123,7 @@ func buildGeometry(infos []*shardInfo) (*geometry, error) {
 		records: make([]int, len(infos)),
 	}
 	g.numPages = (g.total + g.rpp - 1) / g.rpp
+	at := 0
 	for s, info := range infos {
 		if info.D != g.d || !slices.Equal(info.Dims, g.dims) || info.Points != g.points ||
 			info.TotalRecords != g.total || info.RecordsPerPage != g.rpp {
@@ -129,27 +132,14 @@ func buildGeometry(infos []*shardInfo) (*geometry, error) {
 		if len(info.Lo) != g.d || len(info.Hi) != g.d {
 			return nil, fmt.Errorf("cluster: shard %d reports bounds of arity %d/%d, want %d", s, len(info.Lo), len(info.Hi), g.d)
 		}
-		if info.Records < 0 || info.RankOffset < 0 || info.RankOffset+info.Records > g.total {
-			return nil, fmt.Errorf("cluster: shard %d rank block [%d,%d) outside [0,%d)", s, info.RankOffset, info.RankOffset+info.Records, g.total)
+		if info.Records < 0 || info.RankOffset != at {
+			return nil, fmt.Errorf("cluster: rank blocks do not tile [0,%d) in shard order: shard %d reports [%d,%d), want a block starting at %d", g.total, s, info.RankOffset, info.RankOffset+info.Records, at)
 		}
+		at += info.Records
 		g.lo[s] = append([]int(nil), info.Lo...)
 		g.hi[s] = append([]int(nil), info.Hi...)
 		g.offset[s] = info.RankOffset
 		g.records[s] = info.Records
-	}
-	// Rank blocks must tile [0, total) — holes or overlaps mean the merge
-	// would silently drop or duplicate ranks.
-	order := make([]int, len(infos))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool { return g.offset[order[i]] < g.offset[order[j]] })
-	at := 0
-	for _, s := range order {
-		if g.offset[s] != at {
-			return nil, fmt.Errorf("cluster: rank blocks do not tile: expected offset %d, shard %d starts at %d", at, s, g.offset[s])
-		}
-		at += g.records[s]
 	}
 	if at != g.total {
 		return nil, fmt.Errorf("cluster: rank blocks cover %d of %d records", at, g.total)
@@ -158,20 +148,23 @@ func buildGeometry(infos []*shardInfo) (*geometry, error) {
 }
 
 // geometry returns the published cluster shape, completing the handshake
-// synchronously (bounded by ctx) if it has not finished yet. Nil means
-// some worker is still unreachable: the router answers 503 rather than
-// guess at a frame it cannot validate queries against.
-func (rt *Router) geometry(ctx context.Context) *geometry {
-	if g := rt.geo.Load(); g != nil {
-		return g
+// synchronously (bounded by ctx) if it has not finished yet. While some
+// worker is still unreachable it returns server.ErrWarming: the router
+// answers 503 rather than guess at a frame it cannot validate queries
+// against.
+func (r *Remote) geometry(ctx context.Context) (*geometry, error) {
+	if g := r.geo.Load(); g != nil {
+		return g, nil
 	}
-	rt.geoMu.Lock()
-	defer rt.geoMu.Unlock()
-	if g := rt.geo.Load(); g != nil {
-		return g
+	r.geoMu.Lock()
+	defer r.geoMu.Unlock()
+	if r.geo.Load() == nil {
+		r.refreshGeometryLocked(ctx)
 	}
-	rt.refreshGeometryLocked(ctx)
-	return rt.geo.Load()
+	if g := r.geo.Load(); g != nil {
+		return g, nil
+	}
+	return nil, fmt.Errorf("cluster: shard geometry incomplete: %w", server.ErrWarming)
 }
 
 // validateBox mirrors the monolithic ShardedIndex's box validation.
@@ -218,13 +211,10 @@ func (g *geometry) contains(s int, coords []int) bool {
 }
 
 // owner returns the shard whose rank block holds rank (rank must be in
-// [0, total)).
+// [0, total)): the last shard starting at or before it, by binary search
+// over the prefix offsets — the rule ShardedIndex.Point uses. Empty
+// blocks share their successor's offset and are skipped by taking the
+// last.
 func (g *geometry) owner(rank int) int {
-	best, bestOff := 0, -1
-	for s, off := range g.offset {
-		if off <= rank && off > bestOff {
-			best, bestOff = s, off
-		}
-	}
-	return best
+	return sort.SearchInts(g.offset, rank+1) - 1
 }

@@ -27,22 +27,22 @@ type replica struct {
 
 // fail records one failed attempt, ejecting the replica when it crosses
 // the consecutive-failure threshold.
-func (rep *replica) fail(rt *Router) {
-	if int(rep.fails.Add(1)) >= rt.cfg.FailThreshold {
+func (rep *replica) fail(r *Remote) {
+	if int(rep.fails.Add(1)) >= r.cfg.FailThreshold {
 		if rep.ejected.CompareAndSwap(false, true) {
-			rt.ejections.Add(1)
-			rt.cfg.Logf("replica %s ejected after %d consecutive failures", rep.addr, rt.cfg.FailThreshold)
+			r.ejections.Add(1)
+			r.cfg.Logf("replica %s ejected after %d consecutive failures", rep.addr, r.cfg.FailThreshold)
 		}
 	}
 }
 
 // succeed records one successful attempt, clearing the failure streak and
 // reinstating an ejected replica (a success is as good as a probe).
-func (rep *replica) succeed(rt *Router) {
+func (rep *replica) succeed(r *Remote) {
 	rep.fails.Store(0)
 	if rep.ejected.CompareAndSwap(true, false) {
-		rt.reinstatements.Add(1)
-		rt.cfg.Logf("replica %s reinstated", rep.addr)
+		r.reinstatements.Add(1)
+		r.cfg.Logf("replica %s reinstated", rep.addr)
 	}
 }
 
@@ -78,37 +78,35 @@ func (ss *shardState) order(dst []*replica) []*replica {
 // still incomplete, then probe every ejected replica's GET /healthz and
 // reinstate the ones that answer 200. A draining worker answers 503
 // there, so a replica mid-teardown stays ejected instead of flapping.
-func (rt *Router) ProbeOnce(ctx context.Context) {
-	if rt.geo.Load() == nil {
-		rt.geoMu.Lock()
-		rt.refreshGeometryLocked(ctx)
-		rt.geoMu.Unlock()
-	}
-	for _, ss := range rt.shards {
+func (r *Remote) ProbeOnce(ctx context.Context) {
+	r.geometry(ctx) // finishes the handshake if it is still incomplete
+	for _, ss := range r.shards {
 		for _, rep := range ss.replicas {
 			if !rep.ejected.Load() {
 				continue
 			}
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-			_, status, err := rt.do(pctx, rep, "/healthz", nil)
+			pctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
+			_, status, err := r.do(pctx, rep, "/healthz", nil)
 			cancel()
 			if err == nil && status == http.StatusOK {
-				rep.succeed(rt)
+				rep.succeed(r)
 			}
 		}
 	}
 }
 
-// probeLoop runs ProbeOnce every ProbeInterval until ctx is canceled.
-func (rt *Router) probeLoop(ctx context.Context) {
-	t := time.NewTicker(rt.cfg.ProbeInterval)
+// probeLoop runs ProbeOnce every ProbeInterval until ctx is canceled
+// (Close), then signals probesDone.
+func (r *Remote) probeLoop(ctx context.Context) {
+	defer close(r.probesDone)
+	t := time.NewTicker(r.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			rt.ProbeOnce(ctx)
+			r.ProbeOnce(ctx)
 		}
 	}
 }

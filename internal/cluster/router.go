@@ -1,24 +1,28 @@
 // The router: the cluster's query front end. It owns no index data — it
 // holds the static replica topology, learns the shard geometry from the
-// workers, and turns every query into a per-shard plan (ClipBox against
-// each shard's bounds), a replicated network fan-out (per-attempt
-// timeouts, hedged reads, jittered-backoff retries, health-aware replica
-// rotation), and a k-way rank merge (storage.MergeSortedAppend) encoded
-// through the same pooled protocol layer the single-node daemon uses.
+// workers, and answers every query as a Remote: a server.Queryable that
+// plans one part per shard (ClipBox against each shard's bounds), fetches
+// each part over the network (per-attempt timeouts, hedged reads,
+// jittered-backoff retries, health-aware replica rotation), validates
+// every reply, and yields the parts' rows in plan order. The handshake
+// proved that shard order is rank order, so that concatenation is the
+// merge. A server.Server hosts the Remote, so the router shares the
+// daemon's admission, deadlines, encoding, drain and reload.
 //
 // Failure semantics, per endpoint class:
 //
 //   - box/pages/batch (collection answers): a shard whose replicas are
 //     all unreachable fails the whole query in strict mode (502, or 504
-//     when the deadline died first); in -partial mode the response is
-//     emitted for the reachable shards — rank-correct for every shard
-//     present — with the unreachable shard ids in "shards_missing".
+//     when the deadline died first); in -partial mode the answer covers
+//     the reachable shards — rank-correct for every shard present — and a
+//     *server.PartialError names the unreachable shards, which the shell
+//     emits as "shards_missing".
 //   - rank/point (scalar answers): routed to the shard that owns the
 //     coordinates or the rank block; a scalar cannot be partially
 //     correct, so an unreachable owner is always an error.
 //   - every per-shard reply is validated against the shard's declared
-//     rank block and bounding box before it may enter a merge; a torn or
-//     cross-wired reply is discarded as a replica failure, never merged.
+//     rank block and bounding box before it may enter an answer; a torn
+//     or cross-wired reply is discarded as a replica failure.
 package cluster
 
 import (
@@ -28,30 +32,34 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
 	"github.com/spectral-lpm/spectrallpm/internal/server/faultinject"
 	"github.com/spectral-lpm/spectrallpm/internal/shard"
-	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
+
+// DefaultTimeout is the router's per-request deadline when neither the
+// client (timeout_ms) nor the shell configuration sets one. It is longer
+// than the daemon's because one router request spans retries and hedges.
+const DefaultTimeout = 5 * time.Second
 
 // RouterConfig carries the router's tunables. The zero value of any field
 // picks the default documented on it.
 type RouterConfig struct {
-	// Topology is the static shard→replicas layout (required).
+	// Topology is the static shard→replicas layout. When nil, Open loads
+	// it from the path it is given (the shell's IndexPath).
 	Topology *Topology
-	// Addr is the listen address (default ":8090").
-	Addr string
+	// Server configures the serving shell NewRouter hosts the Remote in:
+	// listen address (default ":8090"), admission bounds, deadlines
+	// (default DefaultTimeout) and drain budget.
+	Server server.Config
 	// Partial enables partial results: when a shard's replicas are all
 	// unreachable, box/pages/batch answer for the reachable shards and
 	// label the gap with "shards_missing" instead of failing.
@@ -75,14 +83,6 @@ type RouterConfig struct {
 	// ProbeInterval is the cadence of the ejected-replica health probe and
 	// of geometry-handshake retries (default 500ms).
 	ProbeInterval time.Duration
-	// DefaultTimeout is the per-request deadline when the client sends no
-	// timeout_ms query parameter (default 5s).
-	DefaultTimeout time.Duration
-	// MaxTimeout caps the client-requested deadline (default 30s).
-	MaxTimeout time.Duration
-	// DrainTimeout bounds how long Shutdown waits for in-flight requests
-	// (default 10s).
-	DrainTimeout time.Duration
 	// Logf receives operational log lines (default stderr).
 	Logf func(format string, args ...any)
 }
@@ -93,9 +93,6 @@ func (c *RouterConfig) fillDefaults() error {
 	}
 	if err := c.Topology.Validate(); err != nil {
 		return err
-	}
-	if c.Addr == "" {
-		c.Addr = ":8090"
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = time.Second
@@ -117,15 +114,6 @@ func (c *RouterConfig) fillDefaults() error {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "lpmserve-router: "+format+"\n", args...)
@@ -134,9 +122,63 @@ func (c *RouterConfig) fillDefaults() error {
 	return nil
 }
 
-// Router is the cluster front end. Create with NewRouter, serve with Run
-// (or wire Handler into a test server), stop with Shutdown.
-type Router struct {
+// Open is the server.Config.Open hook of a router shell: it loads the
+// topology file at path (unless c.Topology is set) and returns a Remote
+// over it that has run one handshake round. A reload calls it again, so
+// SIGHUP re-reads the topology; a bad file fails here and the shell keeps
+// serving the old Remote.
+func (c RouterConfig) Open(path string) (server.Queryable, error) {
+	if c.Topology == nil {
+		topo, err := LoadTopology(path)
+		if err != nil {
+			return nil, err
+		}
+		c.Topology = topo
+	}
+	r, err := NewRemote(c)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Router is a serving shell hosting a Remote — the constructor tests and
+// benchmarks use in place of a server.Config with RouterConfig.Open.
+type Router struct{ *server.Server }
+
+// NewRouter assembles the shell from cfg.Server and opens a Remote in it.
+func NewRouter(cfg RouterConfig) (*Router, error) {
+	sc := cfg.Server
+	if sc.Addr == "" {
+		sc.Addr = ":8090"
+	}
+	if sc.DefaultTimeout <= 0 {
+		sc.DefaultTimeout = DefaultTimeout
+	}
+	if sc.Logf == nil {
+		sc.Logf = cfg.Logf
+	}
+	sc.Open = cfg.Open
+	s, err := server.New(sc)
+	if err != nil {
+		return nil, err
+	}
+	return &Router{s}, nil
+}
+
+// remote returns the Remote the shell currently serves.
+func (rt *Router) remote() *Remote { return rt.Index().(*Remote) }
+
+// Ready reports whether the geometry handshake has completed.
+func (rt *Router) Ready() bool { return rt.remote().Ready() }
+
+// ProbeOnce runs one probe round of the served Remote (see
+// Remote.ProbeOnce).
+func (rt *Router) ProbeOnce(ctx context.Context) { rt.remote().ProbeOnce(ctx) }
+
+// Remote answers queries by fanning them out to the shard workers of a
+// topology. Create with NewRemote; Close stops its probe loop.
+type Remote struct {
 	cfg    RouterConfig
 	shards []*shardState
 
@@ -146,9 +188,11 @@ type Router struct {
 	geo   atomic.Pointer[geometry]
 	infos []*shardInfo
 
-	client   *http.Client
-	draining atomic.Bool
-	rng      atomic.Uint64 // splitmix64 state for backoff jitter
+	client *http.Client
+	rng    atomic.Uint64 // splitmix64 state for backoff jitter
+
+	stopProbes context.CancelFunc
+	probesDone chan struct{}
 
 	// Counters for /stats (monotonic).
 	hedges         atomic.Int64 // hedged second requests launched
@@ -156,22 +200,18 @@ type Router struct {
 	ejections      atomic.Int64 // replicas ejected
 	reinstatements atomic.Int64 // replicas reinstated
 	partials       atomic.Int64 // responses answered with shards_missing
-
-	mux  *http.ServeMux
-	http *http.Server
-	ln   net.Listener
 }
 
-// NewRouter validates the topology and assembles the router. The returned
-// router has not handshaken with the workers yet: geometry completes
-// lazily on the first request (or via ProbeOnce / the Run probe loop),
-// and the router answers 503 until it does.
-func NewRouter(cfg RouterConfig) (*Router, error) {
+// NewRemote validates the topology, runs one geometry handshake round and
+// starts the probe loop. Workers that did not answer the handshake leave
+// the Remote warming: queries answer 503 until a later round (the probe
+// loop, or the first query) completes it.
+func NewRemote(cfg RouterConfig) (*Remote, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
 	byShard := cfg.Topology.byShard()
-	rt := &Router{
+	r := &Remote{
 		cfg:    cfg,
 		shards: make([]*shardState, len(byShard)),
 		infos:  make([]*shardInfo, len(byShard)),
@@ -179,29 +219,79 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     30 * time.Second,
 		}},
+		probesDone: make(chan struct{}),
 	}
 	for s, addrs := range byShard {
 		ss := &shardState{id: s, replicas: make([]*replica, len(addrs))}
 		for i, addr := range addrs {
 			ss.replicas[i] = &replica{addr: addr}
 		}
-		rt.shards[s] = ss
+		r.shards[s] = ss
 	}
-	rt.mux = http.NewServeMux()
-	rt.routes()
-	rt.http = &http.Server{Handler: rt.mux}
-	return rt, nil
+	ctx, cancel := context.WithCancel(context.Background())
+	r.stopProbes = cancel
+	r.ProbeOnce(ctx)
+	go r.probeLoop(ctx)
+	return r, nil
 }
 
-// NumShards returns the number of shards in the routed topology.
-func (rt *Router) NumShards() int { return len(rt.shards) }
-
-// Handler returns the router's HTTP handler for tests and benchmarks that
-// bring their own listener.
-func (rt *Router) Handler() http.Handler { return rt.mux }
+// Close stops the probe loop and drops idle worker connections. Queries
+// still in flight finish on their own connections.
+func (r *Remote) Close() error {
+	r.stopProbes()
+	<-r.probesDone
+	r.client.CloseIdleConnections()
+	return nil
+}
 
 // Ready reports whether the geometry handshake has completed.
-func (rt *Router) Ready() bool { return rt.geo.Load() != nil }
+func (r *Remote) Ready() bool { return r.geo.Load() != nil }
+
+// frame returns the published geometry, or an empty one while warming, so
+// the shape accessors below answer zero until the handshake completes.
+func (r *Remote) frame() *geometry {
+	if g := r.geo.Load(); g != nil {
+		return g
+	}
+	return &geometry{}
+}
+
+// N, D, Dims, RecordsPerPage and NumPages describe the cluster's global
+// frame as the handshake learned it.
+func (r *Remote) N() int              { return r.frame().total }
+func (r *Remote) D() int              { return r.frame().d }
+func (r *Remote) Dims() []int         { return append([]int(nil), r.frame().dims...) }
+func (r *Remote) RecordsPerPage() int { return r.frame().rpp }
+func (r *Remote) NumPages() int       { return r.frame().numPages }
+
+// AddStats adds the per-replica health picture and the fan-out counters
+// to the shell's /stats document.
+func (r *Remote) AddStats(m map[string]any) {
+	type replicaStats struct {
+		Addr    string `json:"addr"`
+		Ejected bool   `json:"ejected"`
+		Fails   int32  `json:"consecutive_failures"`
+	}
+	type shardStats struct {
+		Shard    int            `json:"shard"`
+		Replicas []replicaStats `json:"replicas"`
+	}
+	shards := make([]shardStats, len(r.shards))
+	for i, ss := range r.shards {
+		shards[i] = shardStats{Shard: ss.id, Replicas: make([]replicaStats, len(ss.replicas))}
+		for j, rep := range ss.replicas {
+			shards[i].Replicas[j] = replicaStats{Addr: rep.addr, Ejected: rep.ejected.Load(), Fails: rep.fails.Load()}
+		}
+	}
+	m["ready"] = r.Ready()
+	m["partial_mode"] = r.cfg.Partial
+	m["shards"] = shards
+	m["hedges"] = r.hedges.Load()
+	m["retries"] = r.retried.Load()
+	m["ejections"] = r.ejections.Load()
+	m["reinstatements"] = r.reinstatements.Load()
+	m["partial_responses"] = r.partials.Load()
+}
 
 // --- transport: one attempt, hedged attempt, retry loop ---
 
@@ -209,7 +299,7 @@ func (rt *Router) Ready() bool { return rt.geo.Load() != nil }
 // POST otherwise, bounded by ctx, body fully read. The router.dial fault
 // point fires before the request leaves, so chaos tests can fail or stall
 // individual dials on the fan-out path.
-func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte) ([]byte, int, error) {
+func (r *Remote) do(ctx context.Context, rep *replica, path string, body []byte) ([]byte, int, error) {
 	faultinject.Fire(faultinject.PointRouterDial)
 	method := http.MethodGet
 	var rd io.Reader
@@ -221,7 +311,7 @@ func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := rt.client.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -229,7 +319,7 @@ func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte
 	resp.Body.Close()
 	if err != nil {
 		// A connection severed mid-body (worker killed mid-write) lands
-		// here: the reply never reaches a merge.
+		// here: the reply never reaches an answer.
 		return nil, 0, err
 	}
 	return data, resp.StatusCode, nil
@@ -248,13 +338,13 @@ type attemptResult struct {
 // First success wins; the shared attempt context is canceled on return,
 // aborting the loser. Failures (transport errors and 5xx) mark the
 // replica; a canceled loser marks nothing.
-func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, path string, body []byte) ([]byte, int, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
+func (r *Remote) attemptHedged(ctx context.Context, primary, backup *replica, path string, body []byte) ([]byte, int, error) {
+	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
 	ch := make(chan attemptResult, 2) // buffered: a canceled loser's send never blocks
 	launch := func(rep *replica) {
 		go func() {
-			data, status, err := rt.do(actx, rep, path, body)
+			data, status, err := r.do(actx, rep, path, body)
 			ch <- attemptResult{rep, data, status, err}
 		}()
 	}
@@ -262,7 +352,7 @@ func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, p
 	outstanding := 1
 	var hedgeC <-chan time.Time
 	if backup != nil {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
+		t := time.NewTimer(r.cfg.HedgeAfter)
 		defer t.Stop()
 		hedgeC = t.C
 	}
@@ -272,20 +362,20 @@ func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, p
 		case <-hedgeC:
 			hedgeC = nil
 			faultinject.Fire(faultinject.PointRouterHedge)
-			rt.hedges.Add(1)
+			r.hedges.Add(1)
 			launch(backup)
 			outstanding++
 		case res := <-ch:
 			outstanding--
 			if res.err == nil && res.status < http.StatusInternalServerError {
-				res.rep.succeed(rt)
+				res.rep.succeed(r)
 				return res.data, res.status, nil
 			}
 			// Don't hold a replica's health hostage to the caller's clock:
 			// an attempt cut short because the REQUEST deadline (not the
 			// attempt budget) expired says nothing about the replica.
 			if ctx.Err() == nil {
-				res.rep.fail(rt)
+				res.rep.fail(r)
 			}
 			err := res.err
 			if err == nil {
@@ -304,15 +394,16 @@ func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, p
 // failed attempts retry against the next replica after a jittered
 // exponential backoff. 2xx–4xx statuses return to the caller (the workers
 // validate with the same rules the router does, so a 4xx is the client's
-// to see); transport errors and 5xx burn the attempt.
-func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte) ([]byte, int, error) {
-	ss := rt.shards[s]
+// to see); transport errors and 5xx burn the attempt, and a shard with
+// no attempt left is server.ErrUnreachable.
+func (r *Remote) fetch(ctx context.Context, s int, path string, body []byte) ([]byte, int, error) {
+	ss := r.shards[s]
 	reps := ss.order(make([]*replica, 0, len(ss.replicas)))
 	var lastErr error
-	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			rt.retried.Add(1)
-			if err := rt.backoff(ctx, attempt); err != nil {
+			r.retried.Add(1)
+			if err := r.backoff(ctx, attempt); err != nil {
 				break // request deadline died waiting to retry
 			}
 		}
@@ -321,7 +412,7 @@ func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte) ([
 		if len(reps) > 1 {
 			backup = reps[(attempt+1)%len(reps)]
 		}
-		data, status, err := rt.attemptHedged(ctx, primary, backup, path, body)
+		data, status, err := r.attemptHedged(ctx, primary, backup, path, body)
 		if err == nil {
 			return data, status, nil
 		}
@@ -333,15 +424,34 @@ func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte) ([
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, 0, fmt.Errorf("cluster: shard %d unreachable: %w", s, lastErr)
+	return nil, 0, fmt.Errorf("cluster: shard %d: %w: %w", s, server.ErrUnreachable, lastErr)
+}
+
+// exchange fetches a scalar answer from shard s and returns a 200 reply's
+// body. Other statuses carry the worker's diagnostic: 400 and 404 keep
+// their meaning (the workers validate with the router's rules), anything
+// else is the shard's failure.
+func (r *Remote) exchange(ctx context.Context, s int, path string, body []byte) ([]byte, error) {
+	data, status, err := r.fetch(ctx, s, path, body)
+	if err != nil || status == http.StatusOK {
+		return data, err
+	}
+	cause := server.ErrUnreachable
+	switch status {
+	case http.StatusBadRequest:
+		cause = server.ErrBadRequest
+	case http.StatusNotFound:
+		cause = spectrallpm.ErrPointNotIndexed
+	}
+	return nil, fmt.Errorf("cluster: shard %d answered status %d: %s: %w", s, status, bytes.TrimSpace(data), cause)
 }
 
 // backoff sleeps the jittered exponential retry delay (ctx-bounded):
 // BackoffBase doubles per retry and lands uniformly in [0.5x, 1.5x) so
 // synchronized retries de-correlate.
-func (rt *Router) backoff(ctx context.Context, attempt int) error {
-	base := rt.cfg.BackoffBase << (attempt - 1)
-	d := base/2 + time.Duration(rt.rand64()%uint64(base))
+func (r *Remote) backoff(ctx context.Context, attempt int) error {
+	base := r.cfg.BackoffBase << (attempt - 1)
+	d := base/2 + time.Duration(r.rand64()%uint64(base))
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -354,8 +464,8 @@ func (rt *Router) backoff(ctx context.Context, attempt int) error {
 
 // rand64 draws from a lock-free splitmix64 sequence — cheap, contention
 // free, and good enough to de-correlate retry storms.
-func (rt *Router) rand64() uint64 {
-	x := rt.rng.Add(0x9e3779b97f4a7c15)
+func (r *Remote) rand64() uint64 {
+	x := r.rng.Add(0x9e3779b97f4a7c15)
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -377,72 +487,141 @@ type pagesReply struct {
 	Runs [][]int `json:"runs"`
 }
 
+// badReply reports a reply that cannot be shard s's honest answer. It is
+// the shard's failure (server.ErrUnreachable), never part of an answer.
+func badReply(s int, format string, args ...any) error {
+	return fmt.Errorf("cluster: shard %d reply %s: %w", s, fmt.Sprintf(format, args...), server.ErrUnreachable)
+}
+
 // validateBoxReply rejects a reply that cannot be shard s's honest
 // answer: a count/row mismatch, a malformed row, a rank outside the
 // shard's declared block, out-of-order ranks, or coordinates outside the
 // shard's bounding box. This is the torn-response defense: a worker
 // killed mid-write, or a topology wired to the wrong worker, costs
 // availability (the reply is treated as a failed attempt) but can never
-// place a wrong row into a merge.
+// place a wrong row into an answer.
 func (g *geometry) validateBoxReply(s int, rep *boxReply) error {
 	if rep.Count != len(rep.Results) {
-		return fmt.Errorf("cluster: shard %d reply declares %d rows, carries %d", s, rep.Count, len(rep.Results))
+		return badReply(s, "declares %d rows, carries %d", rep.Count, len(rep.Results))
 	}
 	lo, hi := g.offset[s], g.offset[s]+g.records[s]
 	prev := -1
 	for _, row := range rep.Results {
 		if len(row) != 1+g.d {
-			return fmt.Errorf("cluster: shard %d reply row arity %d, want %d", s, len(row), 1+g.d)
+			return badReply(s, "row arity %d, want %d", len(row), 1+g.d)
 		}
 		r := row[0]
 		if r < lo || r >= hi {
-			return fmt.Errorf("cluster: shard %d reply rank %d outside its block [%d,%d)", s, r, lo, hi)
+			return badReply(s, "rank %d outside its block [%d,%d)", r, lo, hi)
 		}
 		if r <= prev {
-			return fmt.Errorf("cluster: shard %d reply ranks out of order (%d after %d)", s, r, prev)
+			return badReply(s, "ranks out of order (%d after %d)", r, prev)
 		}
 		prev = r
-		for j, c := range row[1:] {
-			if c < g.lo[s][j] || c > g.hi[s][j] {
-				return fmt.Errorf("cluster: shard %d reply coordinate %v outside shard bounds", s, row[1:])
-			}
+		if !g.contains(s, row[1:]) {
+			return badReply(s, "coordinate %v outside shard bounds", row[1:])
 		}
 	}
 	return nil
 }
 
-// validatePagesReply rejects malformed or unordered run lists.
+// validatePagesReply rejects malformed or unordered run lists, and runs
+// outside the pages of the shard's own rank block — a cross-wired reply
+// about another shard's pages must not reach an answer.
 func (g *geometry) validatePagesReply(s int, rep *pagesReply) error {
+	first, last := g.offset[s]/g.rpp, (g.offset[s]+g.records[s]-1)/g.rpp
 	prevEnd := -1
 	for _, run := range rep.Runs {
-		if len(run) != 2 || run[1] < 1 || run[0] < 0 || run[0]+run[1] > g.numPages {
-			return fmt.Errorf("cluster: shard %d reply run %v outside [0,%d) pages", s, run, g.numPages)
+		if len(run) != 2 || run[1] < 1 || g.records[s] == 0 || run[0] < first || run[0] > last-run[1]+1 {
+			return badReply(s, "run %v outside its block's pages [%d,%d]", run, first, last)
 		}
 		if run[0] <= prevEnd {
-			return fmt.Errorf("cluster: shard %d reply runs out of order", s)
+			return badReply(s, "runs out of order")
 		}
 		prevEnd = run[0] + run[1] - 1
 	}
 	return nil
 }
 
-// --- fan-out planning and merging ---
+// parseBoxReply decodes and validates a worker's box reply into rows of
+// [rank, c0, c1, ...].
+func parseBoxReply(g *geometry, s int, data []byte) ([][]int, error) {
+	var rep boxReply
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, badReply(s, "%v", err)
+	}
+	if err := g.validateBoxReply(s, &rep); err != nil {
+		return nil, err
+	}
+	return rep.Results, nil
+}
+
+// parsePagesReply decodes and validates a worker's page-run reply.
+func parsePagesReply(g *geometry, s int, data []byte) ([]spectrallpm.PageRun, error) {
+	var rep pagesReply
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, badReply(s, "%v", err)
+	}
+	if err := g.validatePagesReply(s, &rep); err != nil {
+		return nil, err
+	}
+	runs := make([]spectrallpm.PageRun, len(rep.Runs))
+	for i, run := range rep.Runs {
+		runs[i] = spectrallpm.PageRun{Start: run[0], Pages: run[1]}
+	}
+	return runs, nil
+}
+
+// parseRankReply validates a worker's {"rank":N} against the shard's
+// declared block before trusting it.
+func parseRankReply(g *geometry, s int, data []byte) (int, error) {
+	var rep struct {
+		Rank int `json:"rank"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return 0, badReply(s, "%v", err)
+	}
+	if rep.Rank < g.offset[s] || rep.Rank >= g.offset[s]+g.records[s] {
+		return 0, badReply(s, "rank %d outside its block [%d,%d)", rep.Rank, g.offset[s], g.offset[s]+g.records[s])
+	}
+	return rep.Rank, nil
+}
+
+// parsePointReply validates a worker's {"coords":[...]} against the
+// shard's declared bounding box before trusting it.
+func parsePointReply(g *geometry, s int, data []byte) ([]int, error) {
+	var rep struct {
+		Coords []int `json:"coords"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, badReply(s, "%v", err)
+	}
+	if len(rep.Coords) != g.d {
+		return nil, badReply(s, "point arity %d, want %d", len(rep.Coords), g.d)
+	}
+	if !g.contains(s, rep.Coords) {
+		return nil, badReply(s, "point %v outside shard bounds", rep.Coords)
+	}
+	return rep.Coords, nil
+}
+
+// --- fan-out planning and assembly ---
 
 // boxPart is one shard's slice of a box query: the clipped box to send
-// and the reply slot to fill.
+// and the validated reply.
 type boxPart struct {
 	shard       int
 	start, dims []int
-	ranks       []int // parsed reply: global ranks, ascending
-	coords      []int // parsed reply: flat d-stride global coordinates
+	rows        [][]int // box reply: [rank, c0, ...], ascending global ranks
 	runs        []spectrallpm.PageRun
 	err         error
 }
 
 // planParts clips the box against every shard's bounds, returning one
-// part per intersecting shard. Grid shards tile the domain so parts are
-// disjoint; point-set shard boxes may overlap, which is fine — each
-// worker returns only its own points, and rank blocks stay disjoint.
+// part per intersecting shard, in shard order. Grid shards tile the
+// domain so parts are disjoint; point-set shard boxes may overlap, which
+// is fine — each worker returns only its own points, and rank blocks stay
+// disjoint.
 func (g *geometry) planParts(start, dims []int) []*boxPart {
 	parts := make([]*boxPart, 0, len(g.offset))
 	for s := range g.offset {
@@ -464,134 +643,108 @@ func appendBoxBody(b []byte, start, dims []int) []byte {
 	return append(b, '}')
 }
 
-// fanOut runs fn for every part concurrently and waits. Each fn owns its
-// part exclusively; the caller reads the parts only after fanOut returns.
-func fanOut(parts []*boxPart, fn func(p *boxPart)) {
+func appendCoordsBody(b []byte, coords []int) []byte {
+	b = append(b, `{"coords":`...)
+	b = server.AppendIntArray(b, coords)
+	return append(b, '}')
+}
+
+func appendRankBody(b []byte, rank int) []byte {
+	b = append(b, `{"rank":`...)
+	b = server.AppendInt(b, rank)
+	return append(b, '}')
+}
+
+// fanOut plans box b and fetches every part from path (/v1/box or
+// /v1/pages) concurrently. Each fetch owns its part exclusively; the
+// caller reads the parts only after fanOut returns.
+func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, path string) []*boxPart {
+	parts := g.planParts(b.Start, b.Dims)
 	if len(parts) == 1 {
-		fn(parts[0])
-		return
+		r.fetchPart(ctx, g, parts[0], path)
+		return parts
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(parts))
 	for _, p := range parts {
 		go func(p *boxPart) {
 			defer wg.Done()
-			fn(p)
+			r.fetchPart(ctx, g, p, path)
 		}(p)
 	}
 	wg.Wait()
+	return parts
 }
 
-// fetchBoxPart resolves one shard's slice of a box query into validated
-// ranks and coordinates.
-func (rt *Router) fetchBoxPart(ctx context.Context, g *geometry, p *boxPart) {
-	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/box", body)
-	if err != nil {
-		p.err = err
-		return
+// fetchPart resolves one shard's slice of a box query into validated
+// rows (/v1/box) or runs (/v1/pages).
+func (r *Remote) fetchPart(ctx context.Context, g *geometry, p *boxPart, path string) {
+	data, status, err := r.fetch(ctx, p.shard, path, appendBoxBody(nil, p.start, p.dims))
+	switch {
+	case err != nil:
+	case status != http.StatusOK:
+		err = badReply(p.shard, "status %d: %s", status, bytes.TrimSpace(data))
+	case path == "/v1/box":
+		p.rows, err = parseBoxReply(g, p.shard, data)
+	default:
+		p.runs, err = parsePagesReply(g, p.shard, data)
 	}
-	if status != http.StatusOK {
-		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
-		return
-	}
-	var rep boxReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		p.err = fmt.Errorf("cluster: shard %d reply: %w", p.shard, err)
-		return
-	}
-	if err := g.validateBoxReply(p.shard, &rep); err != nil {
-		p.err = err
-		return
-	}
-	p.ranks = make([]int, len(rep.Results))
-	p.coords = make([]int, 0, len(rep.Results)*g.d)
-	for i, row := range rep.Results {
-		p.ranks[i] = row[0]
-		p.coords = append(p.coords, row[1:]...)
-	}
+	p.err = err
 }
 
-// fetchPagesPart resolves one shard's slice of a pages query into a
-// validated run list.
-func (rt *Router) fetchPagesPart(ctx context.Context, g *geometry, p *boxPart) {
-	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/pages", body)
-	if err != nil {
-		p.err = err
-		return
-	}
-	if status != http.StatusOK {
-		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
-		return
-	}
-	var rep pagesReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		p.err = fmt.Errorf("cluster: shard %d reply: %w", p.shard, err)
-		return
-	}
-	if err := g.validatePagesReply(p.shard, &rep); err != nil {
-		p.err = err
-		return
-	}
-	p.runs = make([]spectrallpm.PageRun, len(rep.Runs))
-	for i, run := range rep.Runs {
-		p.runs[i] = spectrallpm.PageRun{Start: run[0], Pages: run[1]}
-	}
-}
-
-// splitParts separates succeeded parts from failed ones, returning the
-// sorted shard ids of the failures.
-func splitParts(parts []*boxPart) (ok []*boxPart, missing []int, firstErr error) {
-	ok = parts[:0]
+// settle accounts for the failed parts of a fan-out. In strict mode any
+// failure fails the query; in partial mode it returns the missing shard
+// ids, ascending because parts are planned in shard order.
+func (r *Remote) settle(parts []*boxPart) ([]int, error) {
+	var missing []int
 	for _, p := range parts {
-		if p.err != nil {
-			missing = append(missing, p.shard)
-			if firstErr == nil {
-				firstErr = p.err
-			}
+		if p.err == nil {
 			continue
 		}
-		ok = append(ok, p)
+		if !r.cfg.Partial {
+			return nil, p.err
+		}
+		missing = append(missing, p.shard)
 	}
-	sort.Ints(missing)
-	return ok, missing, firstErr
+	return missing, nil
 }
 
-// mergeRuns coalesces per-shard page-run plans into the global plan:
-// runs sorted by start page, adjacent or overlapping runs fused
-// (next.Start <= cur.End+1, end extends to the max) — exactly the
+// partial labels an answer that lacks the missing shards, counting it.
+func (r *Remote) partial(missing []int) error {
+	if len(missing) == 0 {
+		return nil
+	}
+	r.partials.Add(1)
+	return &server.PartialError{Missing: missing}
+}
+
+// mergeRuns coalesces per-shard page-run plans into the global plan. The
+// parts come in shard order, each part's runs ascend and lie within its
+// own rank block's pages, and shard order is rank order, so the
+// concatenated runs ascend by start page. Adjacent or overlapping runs
+// fuse (next.Start <= cur.End+1, end extends to the max) — exactly the
 // adjacency rule Pager.RunsAppend uses, so the merged plan matches what
 // the monolithic index would have planned. Shard rank blocks can split
 // mid-page, so two shards may both touch a boundary page; the overlap
 // fuses here rather than double-counting.
 func mergeRuns(dst []spectrallpm.PageRun, parts []*boxPart) []spectrallpm.PageRun {
-	total := 0
-	for _, p := range parts {
-		total += len(p.runs)
-	}
-	if total == 0 {
-		return dst[:0]
-	}
-	all := make([]spectrallpm.PageRun, 0, total)
-	for _, p := range parts {
-		all = append(all, p.runs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
 	dst = dst[:0]
-	cur := all[0]
-	for _, r := range all[1:] {
-		curEnd := cur.Start + cur.Pages - 1
-		if r.Start <= curEnd+1 {
-			if end := r.Start + r.Pages - 1; end > curEnd {
-				cur.Pages = end - cur.Start + 1
+	for _, p := range parts {
+		for _, r := range p.runs {
+			if n := len(dst); n > 0 {
+				cur := &dst[n-1]
+				curEnd := cur.Start + cur.Pages - 1
+				if r.Start <= curEnd+1 {
+					if end := r.Start + r.Pages - 1; end > curEnd {
+						cur.Pages = end - cur.Start + 1
+					}
+					continue
+				}
 			}
-			continue
+			dst = append(dst, r)
 		}
-		dst = append(dst, cur)
-		cur = r
 	}
-	return append(dst, cur)
+	return dst
 }
 
 // statsFromRuns derives the monolithic IOStats from a merged run plan:
@@ -610,182 +763,6 @@ func statsFromRuns(runs []spectrallpm.PageRun) spectrallpm.IOStats {
 	return st
 }
 
-// --- HTTP front ---
-
-func (rt *Router) routes() {
-	rt.mux.HandleFunc("POST /v1/rank", rt.handleRank)
-	rt.mux.HandleFunc("POST /v1/point", rt.handlePoint)
-	rt.mux.HandleFunc("POST /v1/box", rt.handleBox)
-	rt.mux.HandleFunc("POST /v1/pages", rt.handlePages)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /stats", rt.handleStats)
-}
-
-// begin derives the request deadline and resolves the geometry, answering
-// 503 (and returning nil) while the handshake is incomplete: without a
-// validated frame the router cannot even tell a bad box from a good one.
-func (rt *Router) begin(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, *geometry) {
-	ctx, cancel := server.RequestContext(r, rt.cfg.DefaultTimeout, rt.cfg.MaxTimeout)
-	g := rt.geometry(ctx)
-	if g == nil {
-		cancel()
-		http.Error(w, "router warming up: shard geometry incomplete", http.StatusServiceUnavailable)
-		return nil, nil, nil
-	}
-	return ctx, cancel, g
-}
-
-// writeUpstreamError maps a fan-out failure: the client's deadline died
-// (504) or the shard's replicas are unreachable/torn (502).
-func writeUpstreamError(w http.ResponseWriter, err error) {
-	status := http.StatusBadGateway
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		status = http.StatusGatewayTimeout
-	}
-	http.Error(w, err.Error(), status)
-}
-
-// finish emits a fully built response buffer in one Write.
-func finish(w http.ResponseWriter, buf []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(len(buf)))
-	w.Write(buf)
-}
-
-func (rt *Router) handleBox(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BoxRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if err := g.validateBox(req.Start, req.Dims); err != nil {
-		server.WriteError(w, err)
-		return
-	}
-	parts := g.planParts(req.Start, req.Dims)
-	fanOut(parts, func(p *boxPart) { rt.fetchBoxPart(ctx, g, p) })
-	ok, missing, firstErr := splitParts(parts)
-	if len(missing) > 0 && !rt.cfg.Partial {
-		writeUpstreamError(w, firstErr)
-		return
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	// Merge the per-shard rank streams into global rank order. Shard rank
-	// blocks are disjoint, so this is MergeSortedAppend's concatenation
-	// fast path; the per-part cursors then walk each stream in lockstep
-	// with the merged order to recover each rank's coordinates — the
-	// stream whose cursor head equals the merged rank is its source
-	// (unique, because the validated blocks are disjoint).
-	streams := make([][]int, len(ok))
-	total := 0
-	for i, p := range ok {
-		streams[i] = p.ranks
-		total += len(p.ranks)
-	}
-	merged := storage.MergeSortedAppend(make([]int, 0, total), streams)
-	cursors := make([]int, len(ok))
-	ps := server.GetProto()
-	defer ps.Put()
-	var countAt int
-	ps.Buf, countAt = server.AppendBoxHeader(ps.Buf)
-	for i, rank := range merged {
-		for pi := range ok {
-			c := cursors[pi]
-			if c < len(ok[pi].ranks) && ok[pi].ranks[c] == rank {
-				cursors[pi]++
-				ps.Buf = server.AppendBoxRow(ps.Buf, i == 0, rank, ok[pi].coords[c*g.d:(c+1)*g.d])
-				break
-			}
-		}
-	}
-	ps.Buf = server.FinishBoxResponse(ps.Buf, countAt, len(merged), missing)
-	finish(w, ps.Buf)
-}
-
-func (rt *Router) handlePages(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BoxRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if err := g.validateBox(req.Start, req.Dims); err != nil {
-		server.WriteError(w, err)
-		return
-	}
-	parts := g.planParts(req.Start, req.Dims)
-	fanOut(parts, func(p *boxPart) { rt.fetchPagesPart(ctx, g, p) })
-	ok, missing, firstErr := splitParts(parts)
-	if len(missing) > 0 && !rt.cfg.Partial {
-		writeUpstreamError(w, firstErr)
-		return
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Runs = mergeRuns(ps.Runs, ok)
-	ps.Buf = server.AppendPagesResponse(ps.Buf, ps.Runs, missing)
-	finish(w, ps.Buf)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BatchRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Boxes) == 0 {
-		http.Error(w, fmt.Sprintf("%v: batch has no boxes", server.ErrBadRequest), http.StatusBadRequest)
-		return
-	}
-	// All-or-nothing validation, matching the monolithic batch contract.
-	for _, b := range req.Boxes {
-		if err := g.validateBox(b.Start, b.Dims); err != nil {
-			server.WriteError(w, err)
-			return
-		}
-	}
-	stats := make([]spectrallpm.IOStats, len(req.Boxes))
-	var missing []int
-	for i, b := range req.Boxes {
-		parts := g.planParts(b.Start, b.Dims)
-		fanOut(parts, func(p *boxPart) { rt.fetchPagesPart(ctx, g, p) })
-		ok, boxMissing, firstErr := splitParts(parts)
-		if len(boxMissing) > 0 && !rt.cfg.Partial {
-			writeUpstreamError(w, firstErr)
-			return
-		}
-		missing = mergeMissing(missing, boxMissing)
-		stats[i] = statsFromRuns(mergeRuns(nil, ok))
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = server.AppendBatchResponse(ps.Buf, stats, missing)
-	finish(w, ps.Buf)
-}
-
 // mergeMissing unions two sorted shard-id lists without duplicates.
 func mergeMissing(dst, add []int) []int {
 	for _, s := range add {
@@ -800,289 +777,150 @@ func mergeMissing(dst, add []int) []int {
 	return dst
 }
 
-func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
+// --- the Queryable surface ---
+
+// ScanIntoContext yields the box's rows in global rank order: the parts'
+// validated rows, concatenated in plan order. With missing shards in
+// partial mode it returns a *server.PartialError after yielding the rest.
+func (r *Remote) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
+	g, err := r.geometry(ctx)
+	if err != nil {
+		return err
 	}
-	defer cancel()
-	var req server.RankRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
+	if err := g.validateBox(b.Start, b.Dims); err != nil {
+		return err
 	}
-	if err := g.validateCoords(req.Coords); err != nil {
-		server.WriteError(w, err)
-		return
+	parts := r.fanOut(ctx, g, b, "/v1/box")
+	missing, err := r.settle(parts)
+	if err != nil {
+		return err
 	}
-	body := appendCoordsBody(nil, req.Coords)
-	// Grid shards tile the domain, so exactly one shard contains the
-	// point; point-set shard boxes may overlap, so every containing shard
-	// is a candidate and a 404 means "keep asking".
-	var lastErr error
-	asked := false
-	for s := range g.offset {
-		if !g.contains(s, req.Coords) {
-			continue
-		}
-		asked = true
-		data, status, err := rt.fetch(ctx, s, "/v1/rank", body)
-		if err != nil {
-			lastErr = err
-			if !g.points {
-				break
+	for _, p := range parts {
+		for _, row := range p.rows {
+			if !yield(row[0], row[1:]) {
+				return nil
 			}
+		}
+	}
+	return r.partial(missing)
+}
+
+// PagesIntoContext plans the box's page runs across the shards.
+func (r *Remote) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
+	g, err := r.geometry(ctx)
+	if err != nil {
+		return dst, err
+	}
+	if err := g.validateBox(b.Start, b.Dims); err != nil {
+		return dst, err
+	}
+	parts := r.fanOut(ctx, g, b, "/v1/pages")
+	missing, err := r.settle(parts)
+	if err != nil {
+		return dst, err
+	}
+	return mergeRuns(dst, parts), r.partial(missing)
+}
+
+// QueryBatchContext derives each box's I/O stats from its cross-shard
+// page plan, validating every box before fanning any out (the monolithic
+// all-or-nothing contract). Stats are not additive across shards, which
+// is why the router plans pages rather than summing worker stats.
+func (r *Remote) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error) {
+	g, err := r.geometry(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range boxes {
+		if err := g.validateBox(b.Start, b.Dims); err != nil {
+			return nil, err
+		}
+	}
+	stats := make([]spectrallpm.IOStats, len(boxes))
+	var missing []int
+	for i, b := range boxes {
+		parts := r.fanOut(ctx, g, b, "/v1/pages")
+		boxMissing, err := r.settle(parts)
+		if err != nil {
+			return nil, err
+		}
+		missing = mergeMissing(missing, boxMissing)
+		stats[i] = statsFromRuns(mergeRuns(nil, parts))
+	}
+	return stats, r.partial(missing)
+}
+
+// QueryIOContext is QueryBatchContext for one box.
+func (r *Remote) QueryIOContext(ctx context.Context, b spectrallpm.Box) (spectrallpm.IOStats, error) {
+	stats, err := r.QueryBatchContext(ctx, []spectrallpm.Box{b})
+	if len(stats) == 0 {
+		return spectrallpm.IOStats{}, err
+	}
+	return stats[0], err
+}
+
+// RankContext asks the shard that contains coords for its global rank.
+// Grid shards tile the domain, so exactly one shard contains the point;
+// point-set shard boxes may overlap, so every containing shard is a
+// candidate and a "not indexed" answer means "keep asking". A scalar
+// answer cannot be partial: an unreachable owner (or, for point sets, any
+// unreachable candidate once every reachable one said "not here") is an
+// error even in partial mode.
+func (r *Remote) RankContext(ctx context.Context, coords []int) (int, error) {
+	g, err := r.geometry(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if err := g.validateCoords(coords); err != nil {
+		return 0, err
+	}
+	body := appendCoordsBody(nil, coords)
+	var lastErr error
+	for s := range g.offset {
+		if !g.contains(s, coords) {
 			continue
 		}
-		if status == http.StatusNotFound && g.points {
-			continue // not in this candidate shard
+		data, err := r.exchange(ctx, s, "/v1/rank", body)
+		switch {
+		case err == nil:
+			return parseRankReply(g, s, data)
+		case !g.points:
+			return 0, err
+		case errors.Is(err, server.ErrUnreachable):
+			lastErr = err
+		case !errors.Is(err, spectrallpm.ErrPointNotIndexed):
+			return 0, err
 		}
-		if status != http.StatusOK {
-			relay(w, status, data)
-			return
-		}
-		rank, err := parseRankReply(g, s, data)
-		if err != nil {
-			writeUpstreamError(w, err)
-			return
-		}
-		ps := server.GetProto()
-		defer ps.Put()
-		ps.Buf = server.AppendRankResponse(ps.Buf, rank)
-		finish(w, ps.Buf)
-		return
 	}
 	if lastErr != nil {
-		// A scalar answer cannot be partial: an unreachable owner (or, for
-		// point sets, any unreachable candidate once every reachable one
-		// said "not here") is an error even in -partial mode.
-		writeUpstreamError(w, lastErr)
-		return
+		return 0, lastErr
 	}
-	if !asked || g.points {
-		http.Error(w, fmt.Sprintf("cluster: point %v not indexed: %v", req.Coords, spectrallpm.ErrPointNotIndexed), http.StatusNotFound)
-		return
-	}
-	http.Error(w, "cluster: no shard owns the point", http.StatusBadGateway)
+	return 0, fmt.Errorf("cluster: point %v not indexed: %w", coords, spectrallpm.ErrPointNotIndexed)
 }
 
-func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.PointRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if req.Rank < 0 || req.Rank >= g.total {
-		http.Error(w, fmt.Sprintf("cluster: rank %d outside [0,%d): %v", req.Rank, g.total, spectrallpm.ErrRankOutOfRange), http.StatusBadRequest)
-		return
-	}
-	s := g.owner(req.Rank)
-	body := appendRankBody(nil, req.Rank)
-	data, status, err := rt.fetch(ctx, s, "/v1/point", body)
+// PointContext asks the shard whose rank block holds rank for its point.
+func (r *Remote) PointContext(ctx context.Context, rank int) ([]int, error) {
+	g, err := r.geometry(ctx)
 	if err != nil {
-		writeUpstreamError(w, err)
-		return
+		return nil, err
 	}
-	if status != http.StatusOK {
-		relay(w, status, data)
-		return
+	if rank < 0 || rank >= g.total {
+		return nil, fmt.Errorf("cluster: rank %d outside [0,%d): %w", rank, g.total, spectrallpm.ErrRankOutOfRange)
 	}
-	coords, err := parsePointReply(g, s, data)
+	s := g.owner(rank)
+	data, err := r.exchange(ctx, s, "/v1/point", appendRankBody(nil, rank))
 	if err != nil {
-		writeUpstreamError(w, err)
-		return
+		return nil, err
 	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = server.AppendPointResponse(ps.Buf, coords)
-	finish(w, ps.Buf)
+	return parsePointReply(g, s, data)
 }
 
-// relay passes a worker's non-200 answer through unchanged — the workers
-// validate with the same rules the router does, so their 4xx diagnostics
-// are the client's to see.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(status)
-	w.Write(body)
+// Rank and Point complete the Queryable surface, whose signatures carry
+// no context; the shell calls the Context forms.
+func (r *Remote) Rank(coords ...int) (int, error) {
+	return r.RankContext(context.TODO(), coords)
 }
 
-func appendCoordsBody(b []byte, coords []int) []byte {
-	b = append(b, `{"coords":`...)
-	b = server.AppendIntArray(b, coords)
-	return append(b, '}')
-}
-
-func appendRankBody(b []byte, rank int) []byte {
-	b = append(b, `{"rank":`...)
-	b = server.AppendInt(b, rank)
-	return append(b, '}')
-}
-
-// parseRankReply validates a worker's {"rank":N} against the shard's
-// declared block before trusting it.
-func parseRankReply(g *geometry, s int, data []byte) (int, error) {
-	var rep struct {
-		Rank int `json:"rank"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("cluster: shard %d rank reply: %w", s, err)
-	}
-	if rep.Rank < g.offset[s] || rep.Rank >= g.offset[s]+g.records[s] {
-		return 0, fmt.Errorf("cluster: shard %d rank reply %d outside its block [%d,%d)", s, rep.Rank, g.offset[s], g.offset[s]+g.records[s])
-	}
-	return rep.Rank, nil
-}
-
-// parsePointReply validates a worker's {"coords":[...]} against the
-// shard's declared bounding box before trusting it.
-func parsePointReply(g *geometry, s int, data []byte) ([]int, error) {
-	var rep struct {
-		Coords []int `json:"coords"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("cluster: shard %d point reply: %w", s, err)
-	}
-	if len(rep.Coords) != g.d {
-		return nil, fmt.Errorf("cluster: shard %d point reply arity %d, want %d", s, len(rep.Coords), g.d)
-	}
-	for j, c := range rep.Coords {
-		if c < g.lo[s][j] || c > g.hi[s][j] {
-			return nil, fmt.Errorf("cluster: shard %d point reply %v outside shard bounds", s, rep.Coords)
-		}
-	}
-	return rep.Coords, nil
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	draining := rt.draining.Load()
-	ready := rt.Ready()
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = append(ps.Buf, `{"status":"`...)
-	switch {
-	case draining:
-		ps.Buf = append(ps.Buf, `draining`...)
-	case !ready:
-		ps.Buf = append(ps.Buf, `warming`...)
-	default:
-		ps.Buf = append(ps.Buf, `ok`...)
-	}
-	ps.Buf = append(ps.Buf, `","shards":`...)
-	ps.Buf = server.AppendInt(ps.Buf, len(rt.shards))
-	ps.Buf = append(ps.Buf, '}')
-	w.Header().Set("Content-Type", "application/json")
-	if draining || !ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	w.Write(ps.Buf)
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
-	type replicaStats struct {
-		Addr    string `json:"addr"`
-		Ejected bool   `json:"ejected"`
-		Fails   int32  `json:"consecutive_failures"`
-	}
-	type shardStats struct {
-		Shard    int            `json:"shard"`
-		Replicas []replicaStats `json:"replicas"`
-	}
-	resp := struct {
-		Ready          bool         `json:"ready"`
-		Draining       bool         `json:"draining"`
-		Partial        bool         `json:"partial_mode"`
-		Shards         []shardStats `json:"shards"`
-		Hedges         int64        `json:"hedges"`
-		Retries        int64        `json:"retries"`
-		Ejections      int64        `json:"ejections"`
-		Reinstatements int64        `json:"reinstatements"`
-		Partials       int64        `json:"partial_responses"`
-	}{
-		Ready:          rt.Ready(),
-		Draining:       rt.draining.Load(),
-		Partial:        rt.cfg.Partial,
-		Shards:         make([]shardStats, len(rt.shards)),
-		Hedges:         rt.hedges.Load(),
-		Retries:        rt.retried.Load(),
-		Ejections:      rt.ejections.Load(),
-		Reinstatements: rt.reinstatements.Load(),
-		Partials:       rt.partials.Load(),
-	}
-	for i, ss := range rt.shards {
-		sr := shardStats{Shard: ss.id, Replicas: make([]replicaStats, len(ss.replicas))}
-		for j, rep := range ss.replicas {
-			sr.Replicas[j] = replicaStats{
-				Addr:    rep.addr,
-				Ejected: rep.ejected.Load(),
-				Fails:   rep.fails.Load(),
-			}
-		}
-		resp.Shards[i] = sr
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// --- daemon lifecycle ---
-
-// Shutdown drains the router: flip the health signal, stop accepting,
-// let in-flight fan-outs finish within ctx's budget.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.draining.Store(true)
-	err := rt.http.Shutdown(ctx)
-	if err != nil {
-		rt.http.Close()
-	}
-	return err
-}
-
-// Run listens on the configured address, starts the probe loop (geometry
-// handshake retries + ejected-replica reinstatement probes), and serves
-// until SIGTERM/SIGINT or ctx cancellation, then drains.
-func (rt *Router) Run(ctx context.Context) error {
-	ln, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	rt.ln = ln
-	rt.cfg.Logf("routing %d shards on %s (partial=%v)", len(rt.shards), ln.Addr(), rt.cfg.Partial)
-	pctx, stopProbes := context.WithCancel(ctx)
-	defer stopProbes()
-	rt.ProbeOnce(pctx) // kick the geometry handshake before the first request
-	go rt.probeLoop(pctx)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.http.Serve(ln) }()
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sig)
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	case sg := <-sig:
-		rt.cfg.Logf("%v: draining (budget %v)", sg, rt.cfg.DrainTimeout)
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), rt.cfg.DrainTimeout)
-	defer cancel()
-	err = rt.Shutdown(dctx)
-	<-serveErr
-	if err != nil {
-		return err
-	}
-	rt.cfg.Logf("drained cleanly")
-	return nil
-}
-
-// Addr returns the bound listen address once Run has started listening.
-func (rt *Router) Addr() net.Addr {
-	if rt.ln == nil {
-		return nil
-	}
-	return rt.ln.Addr()
+func (r *Remote) Point(rank int) ([]int, error) {
+	return r.PointContext(context.TODO(), rank)
 }

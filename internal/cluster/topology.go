@@ -4,15 +4,14 @@
 // router holds a static replicated topology, clips each query against the
 // shard bounds it learned from the workers, fans out over the network
 // with per-attempt timeouts, hedged reads, and jittered-backoff retries,
-// and k-way-merges the per-shard rank streams back into global rank order
-// through the same storage merge and pooled protocol layer the
+// and answers through the same serving shell (internal/server) the
 // single-node daemon uses.
 //
 // The spectral order makes this cheap: ShardedIndex gives every shard a
-// contiguous global rank block and an axis-aligned bounding box, so the
-// router's planner is a per-shard box clip (internal/shard.ClipBox) and
-// its merge is — in the grid case — a pure concatenation
-// (storage.MergeSortedAppend's ordered fast path).
+// contiguous global rank block, shard i's block before shard i+1's, and
+// an axis-aligned bounding box. The router's planner is a per-shard box
+// clip (internal/shard.ClipBox), and its merge is a concatenation of the
+// per-shard answers in shard order.
 //
 // Robustness semantics are explicit rather than emergent:
 //
@@ -27,8 +26,9 @@
 //     honestly labeled response (shards_missing) that is rank-correct
 //     for every reachable shard, instead of failing the whole query;
 //   - torn-response defense: every per-shard reply is validated against
-//     the shard's declared rank block before it can enter a merge, so a
-//     worker killed mid-write can cost availability, never correctness.
+//     the shard's declared rank block and bounds before it can enter an
+//     answer, so a worker killed mid-write can cost availability, never
+//     correctness.
 package cluster
 
 import (

@@ -65,7 +65,7 @@ func NewCore(e Engine, lc *Lifecycle) Core { return Core{eng: e, lc: lc} }
 // Scratch is the pooled heavy workspace of one box query across every
 // engine flavor: the rank buffer (which grows to the box's result volume),
 // the rectangle and point-id scratch of the point-set R-tree probe, and
-// the clip/concatenation scratch of the sharded planner. One pool serves
+// the clip scratch of the sharded planner. One pool serves
 // all flavors — a sharded engine passes the same scratch down to its
 // per-shard engines, whose fields are disjoint from the planner's. It is
 // acquired only for the duration of the work that needs it — inside
@@ -87,15 +87,9 @@ type Scratch struct {
 	Pids []int
 	Min  []int
 	Max  []int
-	// CStart, CDims, Tmp, Ends, Streams back the sharded planner: the
-	// per-shard clipped box, the concatenation buffer of per-shard global
-	// rank segments, segment ends, and the stream views handed to the
-	// merge.
-	CStart  []int
-	CDims   []int
-	Tmp     []int
-	Ends    []int
-	Streams [][]int
+	// CStart, CDims back the sharded planner: the per-shard clipped box.
+	CStart []int
+	CDims  []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -115,7 +109,6 @@ func (sc *Scratch) Release() {
 	sc.Ctx = nil
 	sc.Err = nil
 	sc.Ranks = sc.Ranks[:0]
-	sc.Tmp = sc.Tmp[:0]
 	scratchPool.Put(sc)
 }
 

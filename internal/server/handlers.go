@@ -29,28 +29,55 @@ func (s *Server) routes() {
 	}
 }
 
-// ErrBadRequest tags client-side failures (malformed JSON, oversized
-// bodies) so WriteError maps them to 400 rather than 500. The cluster
-// router wraps its own validation failures with it for the same mapping.
-var ErrBadRequest = errors.New("bad request")
+// Error sentinels the shell maps to statuses. ErrBadRequest tags
+// client-side failures (malformed JSON, oversized bodies; 400).
+// ErrUnreachable tags an upstream that failed to answer, or answered
+// something that cannot be true (502). ErrWarming tags a Queryable that
+// cannot answer yet (503).
+var (
+	ErrBadRequest  = errors.New("bad request")
+	ErrUnreachable = errors.New("upstream unreachable")
+	ErrWarming     = errors.New("warming up")
+)
+
+// PartialError accompanies an answer that is complete for every shard
+// except those in Missing. The box, pages and batch handlers emit the
+// answer and label it with shards_missing instead of failing.
+type PartialError struct{ Missing []int }
+
+func (e *PartialError) Error() string { return fmt.Sprintf("shards %v missing", e.Missing) }
+
+// partial splits a *PartialError off err: its shards are missing from an
+// otherwise valid answer. A type assertion, not errors.As, keeps the
+// complete-answer path free of allocations.
+func partial(err error) ([]int, error) {
+	if pe, ok := err.(*PartialError); ok {
+		return pe.Missing, nil
+	}
+	return nil, err
+}
+
+// Upstream is the optional extension of a Queryable whose answers come
+// from other processes, such as the cluster router. It carries what
+// Queryable cannot express: lookups bounded by the request deadline,
+// readiness before the first answer, and extra /stats fields.
+type Upstream interface {
+	RankContext(ctx context.Context, coords []int) (int, error)
+	PointContext(ctx context.Context, rank int) ([]int, error)
+	// Ready reports whether queries can be answered; until then /healthz
+	// answers 503 "warming".
+	Ready() bool
+	// AddStats adds the Queryable's own fields to the /stats document.
+	AddStats(m map[string]any)
+}
 
 // requestContext derives the per-request deadline: timeout_ms from the
 // query string, clamped to MaxTimeout, defaulting to DefaultTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return RequestContext(r, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-}
-
-// RequestContext derives a per-request deadline from the timeout_ms query
-// parameter, clamped to max, defaulting to def — shared by the daemon and
-// the cluster router so both speak the same deadline dialect.
-func RequestContext(r *http.Request, def, max time.Duration) (context.Context, context.CancelFunc) {
-	d := def
+	d := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-			if d > max {
-				d = max
-			}
+			d = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
 		}
 	}
 	return context.WithTimeout(r.Context(), d)
@@ -136,19 +163,20 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, f
 	w.Write(ps.Buf)
 }
 
-// WriteError maps engine errors to HTTP statuses — shared with the
-// cluster router so both fronts speak one error dialect. The response
-// body for an error is only ever this error line; the success buffer was
-// discarded whole. The returned status lets callers count classes (the
-// daemon counts 504s as expired).
-func WriteError(w http.ResponseWriter, err error) int {
+// writeError maps engine and upstream errors to HTTP statuses and counts
+// 504s as expired. The response body for an error is only ever this
+// error line; the success buffer was discarded whole.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		status = http.StatusGatewayTimeout
-	case errors.Is(err, spectrallpm.ErrIndexClosed):
-		// Retries exhausted during a reload storm; the client should simply
-		// try again.
+		s.expired.Add(1)
+	case errors.Is(err, ErrUnreachable):
+		status = http.StatusBadGateway
+	case errors.Is(err, spectrallpm.ErrIndexClosed), errors.Is(err, ErrWarming):
+		// Retries exhausted during a reload storm, or an upstream still
+		// handshaking; the client should simply try again.
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, spectrallpm.ErrDimensionMismatch),
 		errors.Is(err, spectrallpm.ErrRankOutOfRange),
@@ -158,19 +186,18 @@ func WriteError(w http.ResponseWriter, err error) int {
 		status = http.StatusNotFound
 	}
 	http.Error(w, err.Error(), status)
-	return status
-}
-
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	if WriteError(w, err) == http.StatusGatewayTimeout {
-		s.expired.Add(1)
-	}
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
-	s.serveDecoded(w, r, &req, func(_ context.Context, q Queryable, ps *ProtoScratch) error {
-		rank, err := q.Rank(req.Coords...)
+	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+		var rank int
+		var err error
+		if u, ok := q.(Upstream); ok {
+			rank, err = u.RankContext(ctx, req.Coords)
+		} else {
+			rank, err = q.Rank(req.Coords...)
+		}
 		if err != nil {
 			return err
 		}
@@ -181,8 +208,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	var req PointRequest
-	s.serveDecoded(w, r, &req, func(_ context.Context, q Queryable, ps *ProtoScratch) error {
-		coords, err := q.Point(req.Rank)
+	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+		var coords []int
+		var err error
+		if u, ok := q.(Upstream); ok {
+			coords, err = u.PointContext(ctx, req.Rank)
+		} else {
+			coords, err = q.Point(req.Rank)
+		}
 		if err != nil {
 			return err
 		}
@@ -203,10 +236,11 @@ func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
 				count++
 				return true
 			})
+		missing, err := partial(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = FinishBoxResponse(ps.Buf, countAt, count, nil)
+		ps.Buf = FinishBoxResponse(ps.Buf, countAt, count, missing)
 		return nil
 	})
 }
@@ -216,10 +250,11 @@ func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		runs, err := q.PagesIntoContext(ctx, spectrallpm.Box{Start: req.Start, Dims: req.Dims}, ps.Runs[:0])
 		ps.Runs = runs
+		missing, err := partial(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = AppendPagesResponse(ps.Buf, runs, nil)
+		ps.Buf = AppendPagesResponse(ps.Buf, runs, missing)
 		return nil
 	})
 }
@@ -235,36 +270,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ps.Boxes = append(ps.Boxes, spectrallpm.Box{Start: b.Start, Dims: b.Dims})
 		}
 		stats, err := q.QueryBatchContext(ctx, ps.Boxes)
+		missing, err := partial(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = AppendBatchResponse(ps.Buf, stats, nil)
+		ps.Buf = AppendBatchResponse(ps.Buf, stats, missing)
 		return nil
 	})
 }
 
 // handleHealthz answers 200 {"status":"ok",...} while serving and 503
-// {"status":"draining",...} once Shutdown has begun, so a router's health
-// probe stops routing to a server that is mid-drain instead of racing its
-// listener teardown.
+// once Shutdown has begun ("draining") or while an Upstream cannot answer
+// yet ("warming"), so a router's health probe stops routing to a server
+// that is mid-drain instead of racing its listener teardown.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	h := s.cur.Load()
-	draining := s.draining.Load()
+	status := "ok"
+	if s.draining.Load() {
+		status = "draining"
+	} else if u, ok := h.q.(Upstream); ok && !u.Ready() {
+		status = "warming"
+	}
 	ps := GetProto()
 	defer ps.Put()
 	ps.Buf = append(ps.Buf, `{"status":"`...)
-	if draining {
-		ps.Buf = append(ps.Buf, `draining`...)
-	} else {
-		ps.Buf = append(ps.Buf, `ok`...)
-	}
+	ps.Buf = append(ps.Buf, status...)
 	ps.Buf = append(ps.Buf, `","generation":`...)
 	ps.Buf = AppendInt(ps.Buf, int(h.gen))
 	ps.Buf = append(ps.Buf, `,"records":`...)
 	ps.Buf = AppendInt(ps.Buf, h.q.N())
 	ps.Buf = append(ps.Buf, '}')
 	w.Header().Set("Content-Type", "application/json")
-	if draining {
+	if status != "ok" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	w.Write(ps.Buf)
@@ -272,31 +309,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	h := s.cur.Load()
-	resp := struct {
-		Generation uint64 `json:"generation"`
-		Records    int    `json:"records"`
-		Pages      int    `json:"pages"`
-		Draining   bool   `json:"draining"`
-		InFlight   int    `json:"in_flight"`
-		Queued     int64  `json:"queued"`
-		Accepted   int64  `json:"accepted"`
-		Shed       int64  `json:"shed"`
-		Expired    int64  `json:"expired"`
-		Reloads    int64  `json:"reloads"`
-		Rejected   int64  `json:"rejected_reloads"`
-	}{
-		Generation: h.gen,
-		Records:    h.q.N(),
-		Pages:      h.q.NumPages(),
-		Draining:   s.draining.Load(),
-		InFlight:   s.InFlight(),
-		Queued:     s.queued.Load(),
-		Accepted:   s.accepted.Load(),
-		Shed:       s.shed.Load(),
-		Expired:    s.expired.Load(),
-		Reloads:    s.reloads.Load(),
-		Rejected:   s.rejected.Load(),
+	m := map[string]any{
+		"generation":       h.gen,
+		"records":          h.q.N(),
+		"pages":            h.q.NumPages(),
+		"draining":         s.draining.Load(),
+		"in_flight":        s.InFlight(),
+		"queued":           s.queued.Load(),
+		"accepted":         s.accepted.Load(),
+		"shed":             s.shed.Load(),
+		"expired":          s.expired.Load(),
+		"reloads":          s.reloads.Load(),
+		"rejected_reloads": s.rejected.Load(),
+	}
+	if u, ok := h.q.(Upstream); ok {
+		u.AddStats(m)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	json.NewEncoder(w).Encode(m)
 }

@@ -6,9 +6,8 @@
 // a request that dies mid-query has written nothing.
 //
 // The types and append helpers are exported because the layer is shared:
-// the cluster router (internal/cluster) encodes its fan-out responses —
-// including the partial-results shards_missing field — through the same
-// pooled buffers and the same wire shapes the single-node daemon uses.
+// the cluster package (internal/cluster) encodes its worker requests and
+// the worker's shardinfo through them, and benchmarks reuse them.
 package server
 
 import (
@@ -133,8 +132,8 @@ func AppendBoxRow(b []byte, first bool, rank int, coords []int) []byte {
 	return append(b, ']')
 }
 
-// appendShardsMissing appends the partial-results marker the router emits
-// when -partial mode answered without some shards. A nil/empty slice
+// appendShardsMissing appends the partial-results marker a router emits
+// when -partial mode answered without some shards (a *PartialError). A nil/empty slice
 // appends nothing, so complete responses are byte-identical to the
 // single-node daemon's.
 func appendShardsMissing(b []byte, missing []int) []byte {

@@ -1,6 +1,8 @@
-// Package server is the serving daemon behind cmd/lpmserve: an HTTP/JSON
-// front end over a single mapped (or materialized) index, engineered for
-// failure first. Every request passes bounded-queue admission (load
+// Package server is the serving shell behind every cmd/lpmserve role: an
+// HTTP/JSON front end over a Queryable — a mapped (or materialized)
+// index, one shard of a sharded container (a cluster worker), or a
+// cluster router's fan-out (which also implements Upstream) — engineered
+// for failure first. Every request passes bounded-queue admission (load
 // shedding with 429 + Retry-After), carries a per-request deadline that
 // threads as a context into the query engines (expired requests answer 504
 // without touching pooled engine scratch and never write a partial body),
@@ -81,7 +83,8 @@ func Open(path string) (Queryable, error) {
 // Config carries the daemon's tunables. The zero value of any field picks
 // the default documented on it.
 type Config struct {
-	// IndexPath is the index file served and re-opened on reload.
+	// IndexPath is the file served and re-opened on reload: an index file,
+	// or whatever Open reads (a router's topology file).
 	IndexPath string
 	// Addr is the listen address (default ":8080").
 	Addr string

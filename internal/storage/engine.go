@@ -300,82 +300,6 @@ func (l *rankLayout) mergeBoxRanks(dst []int, start, dims []int, sc *boxScratch)
 	return dst
 }
 
-// MergeSortedAppend k-way-merges ascending int streams into dst and returns
-// the extended slice — the same heap machinery the box engine uses for
-// per-row rank slices, exposed for callers that merge rank streams from
-// several sources (e.g. per-shard box results into global rank order).
-// Streams already in pairwise order (every element of stream i no greater
-// than the first of stream i+1 — the common case when shards own disjoint
-// rank blocks) concatenate in one pass with no heap. All scratch is pooled;
-// with sufficient dst capacity the merge performs no steady-state heap
-// allocations.
-//
-//lpm:allocfree
-func MergeSortedAppend(dst []int, streams [][]int) []int {
-	k := 0
-	total := 0
-	ordered := true
-	prevLast := 0
-	for _, s := range streams {
-		if len(s) == 0 {
-			continue
-		}
-		if k > 0 && s[0] < prevLast {
-			ordered = false
-		}
-		prevLast = s[len(s)-1]
-		k++
-		total += len(s)
-	}
-	if k == 0 {
-		return dst
-	}
-	if cap(dst)-len(dst) < total {
-		grown := make([]int, len(dst), len(dst)+total)
-		copy(grown, dst)
-		dst = grown
-	}
-	if ordered {
-		for _, s := range streams {
-			dst = append(dst, s...)
-		}
-		return dst
-	}
-	sc := boxScratchPool.Get().(*boxScratch)
-	defer boxScratchPool.Put(sc)
-	sc.grow(len(streams))
-	// The heap keys on uint64 entries; flipping the sign bit keeps the
-	// unsigned comparison order-preserving for any int values.
-	const signFlip = 1 << 63
-	heap := sc.heap[:0]
-	for i, s := range streams {
-		if len(s) == 0 {
-			continue
-		}
-		sc.pos[i] = 0
-		sc.end[i] = len(s)
-		sc.cur[i] = uint64(s[0]) ^ signFlip
-		heap = append(heap, i)
-		siftUp(heap, len(heap)-1, sc.cur)
-	}
-	for len(heap) > 0 {
-		j := heap[0]
-		s := streams[j]
-		dst = append(dst, s[sc.pos[j]])
-		sc.pos[j]++
-		if sc.pos[j] < sc.end[j] {
-			sc.cur[j] = uint64(s[sc.pos[j]]) ^ signFlip
-			siftDown(heap, 0, sc.cur)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			siftDown(heap, 0, sc.cur)
-		}
-	}
-	sc.heap = heap
-	return dst
-}
-
 // advance moves slab i's cursor to its next entry with column in
 // [colLo, colHi), caching it in sc.cur[i]. Returns false when the slab is
 // exhausted.

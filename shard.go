@@ -490,9 +490,9 @@ func (sx *ShardedIndex) validateBox(b Box) error {
 
 // shardEngine adapts a ShardedIndex to the serving core's Engine (see
 // internal/serve): the composite frame provider that plans a box against
-// the shard bounds, gathers per-shard rank streams through the same
-// single-index engine the shards serve with, and merges them into global
-// rank order. The serving bodies live in the core — shard.go keeps only
+// the shard bounds and gathers per-shard ranks through the same
+// single-index engine the shards serve with, concatenated in shard order,
+// which is global rank order. The serving bodies live in the core — shard.go keeps only
 // the planning and translation that is genuinely sharding-specific.
 type shardEngine struct{ sx *ShardedIndex }
 
@@ -523,13 +523,12 @@ func (e shardEngine) CheckBox(b Box) error {
 
 // AppendBoxRanks appends the global ranks of the indexed points inside the
 // already-validated box to dst, in ascending global rank order: the
-// planner clips the box against each shard's bounds, intersected shards
-// answer locally through the single-index engine, local ranks shift by the
-// shard's offset, and the per-shard streams k-way-merge
-// (storage.MergeSortedAppend — in practice the concatenation fast path,
-// since shard rank blocks are disjoint and ascending). The planner's clip
-// and concatenation scratch fields are disjoint from the fields the
-// per-shard engines use, so one Scratch serves both levels.
+// planner clips the box against each shard's bounds, and intersected
+// shards append their local ranks through the single-index engine
+// straight into dst, shifted by the shard's offset. Shard i's rank block
+// precedes shard i+1's, so visiting the shards in order is the merge. The
+// planner's clip scratch fields are disjoint from the fields the per-shard
+// engines use, so one Scratch serves both levels.
 //
 //lpm:ctxaware — each shard's engine polls; a cancelled shard aborts the plan
 //lpm:allocfree
@@ -541,8 +540,6 @@ func (e shardEngine) AppendBoxRanks(dst []int, start, dims []int, sc *serve.Scra
 		sc.CDims = make([]int, d)
 	}
 	sc.CStart, sc.CDims = sc.CStart[:d], sc.CDims[:d]
-	sc.Tmp = sc.Tmp[:0]
-	sc.Ends = sc.Ends[:0]
 	for i := range sx.shards {
 		if !shard.ClipBox(start, dims, sx.lo[i], sx.hi[i], sc.CStart, sc.CDims) {
 			continue
@@ -550,28 +547,18 @@ func (e shardEngine) AppendBoxRanks(dst []int, start, dims []int, sc *serve.Scra
 		for j := range sc.CStart {
 			sc.CStart[j] -= sx.origin[i][j]
 		}
-		n0 := len(sc.Tmp)
-		sc.Tmp = indexEngine{sx.shards[i]}.AppendBoxRanks(sc.Tmp, sc.CStart, sc.CDims, sc)
+		n0 := len(dst)
+		dst = indexEngine{sx.shards[i]}.AppendBoxRanks(dst, sc.CStart, sc.CDims, sc)
 		if sc.Err != nil {
 			// A cancelled shard invalidates the whole plan; the caller
 			// discards dst on sc.Err, so skip the remaining shards.
 			return dst
 		}
-		for j := n0; j < len(sc.Tmp); j++ {
-			sc.Tmp[j] += sx.offset[i]
+		for j := n0; j < len(dst); j++ {
+			dst[j] += sx.offset[i]
 		}
-		sc.Ends = append(sc.Ends, len(sc.Tmp))
 	}
-	// Build the stream views only after Tmp stops growing — earlier
-	// appends may have reallocated it.
-	sc.Streams = sc.Streams[:0]
-	prev := 0
-	//lpm:ctxok — O(shards) stream-view assembly, no per-record work
-	for _, end := range sc.Ends {
-		sc.Streams = append(sc.Streams, sc.Tmp[prev:end])
-		prev = end
-	}
-	return storage.MergeSortedAppend(dst, sc.Streams)
+	return dst
 }
 
 // EmitCoords translates ascending GLOBAL ranks to global coordinates: the
