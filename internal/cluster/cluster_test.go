@@ -7,14 +7,18 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -178,6 +182,46 @@ func boxBody(b spectrallpm.Box) string {
 	s, _ := json.Marshal(b.Start)
 	d, _ := json.Marshal(b.Dims)
 	return fmt.Sprintf(`{"start":%s,"dims":%s}`, s, d)
+}
+
+// askWorker sends one request straight to a worker's handler — asking
+// for a reply frame on /v1/box and /v1/pages, as the router does — and
+// returns the 200 body. An empty body sends a GET.
+func askWorker(t testing.TB, w *worker, path, body string) []byte {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	if body != "" {
+		req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	}
+	if path == "/v1/box" || path == "/v1/pages" {
+		req.Header.Set("Accept", server.FrameContentType)
+	}
+	rec := httptest.NewRecorder()
+	w.srv.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d %q", path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// startFleet starts one worker per shard of the container at path and
+// assembles the geometry a router's handshake would learn from them.
+func startFleet(t testing.TB, path string, shards int) (*geometry, []*worker) {
+	t.Helper()
+	workers := make([]*worker, shards)
+	infos := make([]*shardInfo, shards)
+	for s := range workers {
+		workers[s] = startWorker(t, path, s, nil)
+		infos[s] = new(shardInfo)
+		if err := json.Unmarshal(askWorker(t, workers[s], "/v1/shardinfo", ""), infos[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := buildGeometry(infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, workers
 }
 
 // fullTopology lists every started worker, nReplicas per shard:
@@ -541,6 +585,92 @@ func TestRouterPartial(t *testing.T) {
 	})
 }
 
+// TestOversizedReplyBounded serves shard 1 from a worker that answers
+// every box part with an endless frame stream and every pages part with a
+// Content-Length far past the part's cap. The router reads at most one
+// byte past the cap (and nothing of a declared-oversized body), drops the
+// connection and fails the part: 502 in strict mode, a labeled partial
+// in -partial mode. Buffering the endless body whole could never finish.
+func TestOversizedReplyBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sharded.slpm")
+	writeShardedFile(t, path, 2, spectrallpm.WithGrid(8, 8), spectrallpm.WithPageSize(4))
+	oracle := openOracle(t, path)
+
+	stopped := make(chan struct{}, 8) // one per box attempt; the test makes two
+	flood := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/box":
+				w.Header().Set("Content-Type", server.FrameContentType)
+				chunk := make([]byte, 32<<10)
+				for r.Context().Err() == nil {
+					if _, err := w.Write(chunk); err != nil {
+						break
+					}
+					w.(http.Flusher).Flush()
+				}
+				stopped <- struct{}{}
+			case "/v1/pages":
+				w.Header().Set("Content-Type", server.FrameContentType)
+				w.Header().Set("Content-Length", "1000000000")
+				w.WriteHeader(http.StatusOK)
+				w.Write(make([]byte, 1024))
+			default:
+				h.ServeHTTP(w, r)
+			}
+		})
+	}
+	w0 := startWorker(t, path, 0, nil)
+	w1 := startWorker(t, path, 1, flood)
+	topo := &Topology{Shards: []ShardReplicas{
+		{Shard: 0, Replicas: []string{w0.addr()}},
+		{Shard: 1, Replicas: []string{w1.addr()}},
+	}}
+	patient := func(c *RouterConfig) {
+		c.AttemptTimeout = time.Minute // far past the request deadline
+		c.Retries = -1
+	}
+	strict := startRouter(t, topo, patient)
+	partial := startRouter(t, topo, func(c *RouterConfig) { patient(c); c.Partial = true })
+	handshake(t, strict)
+	handshake(t, partial)
+
+	all := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{8, 8}}
+	for _, path := range []string{"/v1/box", "/v1/pages"} {
+		if w := rpost(strict, path, boxBody(all)); w.Code != http.StatusBadGateway {
+			t.Fatalf("strict %s: status %d body %q, want 502", path, w.Code, w.Body)
+		}
+	}
+	got := decodeBox(t, rpost(partial, "/v1/box", boxBody(all)))
+	if !reflect.DeepEqual(got.ShardsMissing, []int{1}) {
+		t.Fatalf("partial box: shards_missing = %v, want [1]", got.ShardsMissing)
+	}
+	_, _, off1, _ := oracle.ShardBounds(1)
+	var want [][]int
+	for _, row := range oracleRows(t, oracle, all) {
+		if row[0] < off1 {
+			want = append(want, row)
+		}
+	}
+	if !reflect.DeepEqual(got.Results, want) {
+		t.Fatalf("partial box rows:\n got %v\nwant %v", got.Results, want)
+	}
+	if w := rpost(partial, "/v1/pages", boxBody(all)); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"shards_missing":[1]`) {
+		t.Fatalf("partial pages: %d %q", w.Code, w.Body)
+	}
+	// Each endless stream ends because the router hung up on it.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-stopped:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the router kept reading an oversized box reply")
+		}
+	}
+	if n := server.ProtoLive(); n != 0 {
+		t.Fatalf("%d protocol scratches leaked", n)
+	}
+}
+
 // TestRouterWarming pins the bootstrap contract: before the geometry
 // handshake completes the router answers 503 everywhere, then serves the
 // moment the fleet appears.
@@ -704,7 +834,11 @@ func TestMergeRunsAndStats(t *testing.T) {
 	for _, tc := range cases {
 		parts := make([]*boxPart, len(tc.parts))
 		for i, runs := range tc.parts {
-			parts[i] = &boxPart{runs: runs}
+			rp := &reply{}
+			for _, r := range runs {
+				rp.vals = append(rp.vals, r.Start, r.Pages)
+			}
+			parts[i] = &boxPart{rp: rp}
 		}
 		got := mergeRuns(nil, parts)
 		if len(got) == 0 && len(tc.want) == 0 {
@@ -724,48 +858,102 @@ func TestMergeRunsAndStats(t *testing.T) {
 	}
 }
 
-// TestTornReplyRejected feeds the validator torn and cross-wired replies;
-// none may pass.
-func TestTornReplyRejected(t *testing.T) {
-	g := &geometry{
+// testFrame encodes a reply frame whose header declares count and width
+// over the values that follow, honest or not, under a valid checksum.
+func testFrame(count, width int, vals ...int) []byte {
+	b, at := server.AppendFrameHeader(nil)
+	for _, v := range vals {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	return server.FinishFrame(b, at, count, width)
+}
+
+// framed wraps data as a worker's 200 reply-frame answer.
+func framed(data []byte) *reply {
+	return &reply{status: http.StatusOK, ctype: server.FrameContentType, data: data}
+}
+
+// tornGeometry is two shards of a 4×4 grid with 4 records each and 4
+// records per page: shard 0 holds ranks [0,4) in x∈[0,1], shard 1 ranks
+// [4,8) in x∈[2,3].
+func tornGeometry() *geometry {
+	return &geometry{
 		d: 2, total: 8, rpp: 4, numPages: 2,
 		lo:      [][]int{{0, 0}, {2, 0}},
 		hi:      [][]int{{1, 3}, {3, 3}},
 		offset:  []int{0, 4},
 		records: []int{4, 4},
 	}
-	cases := []struct {
-		name string
-		rep  boxReply
-	}{
-		{"count_mismatch", boxReply{Count: 2, Results: [][]int{{0, 0, 0}}}},
-		{"row_arity", boxReply{Count: 1, Results: [][]int{{0, 0}}}},
-		{"foreign_rank", boxReply{Count: 1, Results: [][]int{{5, 0, 0}}}},
-		{"unordered", boxReply{Count: 2, Results: [][]int{{1, 0, 0}, {0, 0, 1}}}},
-		{"duplicate", boxReply{Count: 2, Results: [][]int{{1, 0, 0}, {1, 0, 1}}}},
-		{"coords_outside_shard", boxReply{Count: 1, Results: [][]int{{0, 3, 0}}}},
+}
+
+// tornCase is a reply to a box (or pages) part that shard may not accept.
+type tornCase struct {
+	name  string
+	pages bool
+	shard int
+	rp    *reply
+}
+
+// tornReplies lists torn, malformed and cross-wired replies that no
+// shard of tornGeometry may accept.
+func tornReplies() []tornCase {
+	good := testFrame(2, 3, 0, 0, 0, 3, 1, 3)
+	badCRC := slices.Clone(good)
+	badCRC[len(badCRC)-1] ^= 0xff
+	noMagic := slices.Clone(good)
+	noMagic[0] = 'X'
+	binary.LittleEndian.PutUint32(noMagic[len(noMagic)-4:], crc32.Checksum(noMagic[:len(noMagic)-4], crc32.MakeTable(crc32.Castagnoli)))
+	return []tornCase{
+		{"count_mismatch", false, 0, framed(testFrame(2, 3, 0, 0, 0))},
+		{"row_arity", false, 0, framed(testFrame(1, 2, 0, 0))},
+		{"foreign_rank", false, 0, framed(testFrame(1, 3, 5, 0, 0))},
+		{"unordered", false, 0, framed(testFrame(2, 3, 1, 0, 0, 0, 0, 1))},
+		{"duplicate", false, 0, framed(testFrame(2, 3, 1, 0, 0, 1, 0, 1))},
+		{"coords_outside_shard", false, 0, framed(testFrame(1, 3, 0, 3, 0))},
+		{"bad_crc", false, 0, framed(badCRC)},
+		{"truncated", false, 0, framed(good[:len(good)-8])},
+		{"count_over_length", false, 0, framed(testFrame(3, 3, 0, 0, 0, 3, 1, 3))},
+		// (2^64+2)/3 rows of width 3 wrap around to the frame's 2 values.
+		{"count_overflow", false, 0, framed(testFrame(6148914691236517206, 3, 0, 0))},
+		{"width_not_1+d", false, 0, framed(testFrame(1, 4, 0, 0, 0, 0))},
+		{"no_magic", false, 0, framed(noMagic)},
+		{"json_body", false, 0, &reply{status: http.StatusOK, ctype: "application/json",
+			data: []byte(`{"count":2,"results":[[0,0,0],[3,1,3]]}`)}},
+		{"error_status", false, 0, &reply{status: http.StatusBadRequest, ctype: "text/plain", data: []byte("bad request")}},
+		{"overlapping_runs", true, 0, framed(testFrame(2, 2, 0, 2, 1, 1))},
+		{"run_past_pages", true, 0, framed(testFrame(1, 2, 0, 5))},
+		// Cross-wired: a run inside [0,numPages) but on shard 1's pages.
+		{"cross_wired_run", true, 0, framed(testFrame(1, 2, 1, 1))},
+		{"empty_run", true, 0, framed(testFrame(1, 2, 0, 0))},
+		{"run_width", true, 1, framed(testFrame(1, 3, 1, 1, 1))},
 	}
-	for _, tc := range cases {
-		if err := g.validateBoxReply(0, &tc.rep); err == nil {
+}
+
+// TestTornReplyRejected feeds the part decoder torn, malformed and
+// cross-wired replies; none may pass, and honest frames decode exactly.
+func TestTornReplyRejected(t *testing.T) {
+	g := tornGeometry()
+	for _, tc := range tornReplies() {
+		if err := g.decodePart(tc.shard, tc.rp, tc.pages); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !errors.Is(err, server.ErrUnreachable) {
+			t.Errorf("%s: %v does not fail the part as unreachable", tc.name, err)
 		}
 	}
-	good := boxReply{Count: 2, Results: [][]int{{0, 0, 0}, {3, 1, 3}}}
-	if err := g.validateBoxReply(0, &good); err != nil {
-		t.Errorf("good reply rejected: %v", err)
+	good := framed(testFrame(2, 3, 0, 0, 0, 3, 1, 3))
+	if err := g.decodePart(0, good, false); err != nil {
+		t.Errorf("good box reply rejected: %v", err)
+	} else if !slices.Equal(good.vals, []int{0, 0, 0, 3, 1, 3}) {
+		t.Errorf("good box reply decoded to %v", good.vals)
 	}
-	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{0, 2}, {1, 1}}}); err == nil {
-		t.Error("overlapping page runs accepted")
+	if err := g.decodePart(0, framed(testFrame(0, 3)), false); err != nil {
+		t.Errorf("empty box reply rejected: %v", err)
 	}
-	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{0, 5}}}); err == nil {
-		t.Error("run past numPages accepted")
-	}
-	// Cross-wired: a run inside [0,numPages) but on shard 1's pages.
-	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{1, 1}}}); err == nil {
-		t.Error("run on another shard's pages accepted")
-	}
-	if err := g.validatePagesReply(1, &pagesReply{Runs: [][]int{{1, 1}}}); err != nil {
+	runs := framed(testFrame(1, 2, 1, 1))
+	if err := g.decodePart(1, runs, true); err != nil {
 		t.Errorf("good pages reply rejected: %v", err)
+	} else if !slices.Equal(runs.vals, []int{1, 1}) {
+		t.Errorf("good pages reply decoded to %v", runs.vals)
 	}
 }
 

@@ -52,15 +52,16 @@ type geometry struct {
 // fetchShardInfo asks shard s's replica set for its self-description,
 // through the same retry/hedge/health machinery as queries.
 func (r *Remote) fetchShardInfo(ctx context.Context, s int) (*shardInfo, error) {
-	data, status, err := r.fetch(ctx, s, "/v1/shardinfo", nil)
+	rp, err := r.fetch(ctx, s, call{path: "/v1/shardinfo"})
 	if err != nil {
 		return nil, err
 	}
-	if status != 200 {
-		return nil, fmt.Errorf("cluster: shard %d shardinfo answered status %d", s, status)
+	defer rp.Release()
+	if rp.status != 200 {
+		return nil, fmt.Errorf("cluster: shard %d shardinfo answered status %d", s, rp.status)
 	}
 	var info shardInfo
-	if err := json.Unmarshal(data, &info); err != nil {
+	if err := json.Unmarshal(rp.data, &info); err != nil {
 		return nil, fmt.Errorf("cluster: shard %d shardinfo: %w", s, err)
 	}
 	if info.Shard != s {

@@ -86,10 +86,13 @@ func (r *Remote) ProbeOnce(ctx context.Context) {
 				continue
 			}
 			pctx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-			_, status, err := r.do(pctx, rep, "/healthz", nil)
+			rp, err := r.do(pctx, rep, call{path: "/healthz"})
 			cancel()
-			if err == nil && status == http.StatusOK {
-				rep.succeed(r)
+			if err == nil {
+				if rp.status == http.StatusOK {
+					rep.succeed(r)
+				}
+				rp.Release()
 			}
 		}
 	}

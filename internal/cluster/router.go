@@ -20,20 +20,26 @@
 //   - rank/point (scalar answers): routed to the shard that owns the
 //     coordinates or the rank block; a scalar cannot be partially
 //     correct, so an unreachable owner is always an error.
+//   - box and pages parts travel as reply frames (server.ParseFrame):
+//     fixed-width little-endian values under a CRC32C, read into pooled
+//     storage capped at the part's largest honest size, and decoded and
+//     validated in one pass; rank and point answers stay JSON.
 //   - every per-shard reply is validated against the shard's declared
 //     rank block and bounding box before it may enter an answer; a torn
-//     or cross-wired reply is discarded as a replica failure.
+//     or cross-wired reply fails its part.
 package cluster
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,57 +301,136 @@ func (r *Remote) AddStats(m map[string]any) {
 
 // --- transport: one attempt, hedged attempt, retry loop ---
 
-// do performs one HTTP exchange with one replica: GET when body is nil,
-// POST otherwise, bounded by ctx, body fully read. The router.dial fault
-// point fires before the request leaves, so chaos tests can fail or stall
-// individual dials on the fan-out path.
-func (r *Remote) do(ctx context.Context, rep *replica, path string, body []byte) ([]byte, int, error) {
+// maxScalarReply caps every worker body that is not a reply frame: rank,
+// point and shardinfo answers, /healthz, and error lines. The largest
+// legitimate one, the shardinfo of a high-dimensional grid, stays far
+// under it.
+const maxScalarReply = 64 << 10
+
+// call is one logical exchange with a shard: the path, the request body
+// (nil sends a GET), and, for box and pages parts, whether to ask for a
+// reply frame and the cap on its bytes.
+type call struct {
+	path  string
+	body  []byte
+	frame bool
+	limit int // a framed 200 reply's cap; every other body gets maxScalarReply
+}
+
+// reply is one worker answer in pooled storage: the status, the
+// Content-Type, the body and, once a part decodes it, the frame's values
+// (box rows at stride 1+d, or page runs at stride 2). The receiver
+// releases it once nothing reads data or vals any more.
+type reply struct {
+	status int
+	ctype  string
+	data   []byte
+	vals   []int
+}
+
+var replyPool = sync.Pool{New: func() any { return new(reply) }}
+
+// getReply leases a reply; return it with Release.
+//
+//lpm:poolget
+func getReply() *reply { return replyPool.Get().(*reply) }
+
+func (rp *reply) Release() { replyPool.Put(rp) }
+
+// do performs one HTTP exchange with one replica, bounded by ctx, and
+// reads the body into a pooled reply: at most c.limit bytes for a framed
+// 200, maxScalarReply for anything else. A body that declares or streams
+// more is a failed attempt, cut off after one byte past the cap, so a
+// misbehaving worker cannot make the router buffer without limit. The
+// router.dial fault point fires before the request leaves, so chaos tests
+// can fail or stall individual dials on the fan-out path.
+func (r *Remote) do(ctx context.Context, rep *replica, c call) (*reply, error) {
 	faultinject.Fire(faultinject.PointRouterDial)
 	method := http.MethodGet
 	var rd io.Reader
-	if body != nil {
+	if c.body != nil {
 		method = http.MethodPost
-		rd = bytes.NewReader(body)
+		rd = bytes.NewReader(c.body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+rep.addr+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+rep.addr+c.path, rd)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
+	}
+	if c.frame {
+		req.Header.Set("Accept", server.FrameContentType)
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	data, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	// Closing an unread body drops the connection, which stops a worker
+	// that is still streaming past the cap.
+	defer resp.Body.Close()
+	limit := maxScalarReply
+	if c.frame && resp.StatusCode == http.StatusOK {
+		limit = c.limit
+	}
+	if resp.ContentLength > int64(limit) {
+		return nil, fmt.Errorf("cluster: replica %s declares a %d-byte reply, over its %d-byte cap", rep.addr, resp.ContentLength, limit)
+	}
+	rp := getReply()
+	if resp.ContentLength >= 0 {
+		rp.data = slices.Grow(rp.data[:0], int(resp.ContentLength)+1)
+	}
+	rp.data, err = readCapped(resp.Body, rp.data, limit)
 	if err != nil {
 		// A connection severed mid-body (worker killed mid-write) lands
-		// here: the reply never reaches an answer.
-		return nil, 0, err
+		// here too: the reply never reaches an answer.
+		rp.Release()
+		return nil, fmt.Errorf("cluster: replica %s: %w", rep.addr, err)
 	}
-	return data, resp.StatusCode, nil
+	rp.status, rp.ctype = resp.StatusCode, resp.Header.Get("Content-Type")
+	return rp, nil
+}
+
+// readCapped reads body into dst[:0] and fails once it passes limit
+// bytes, so it never buffers more than limit+1.
+func readCapped(body io.Reader, dst []byte, limit int) ([]byte, error) {
+	dst = dst[:0]
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(max(len(dst), 512), limit+1-len(dst)))
+		}
+		n, err := body.Read(dst[len(dst):min(cap(dst), limit+1)])
+		dst = dst[:len(dst)+n]
+		if len(dst) > limit {
+			return dst, fmt.Errorf("reply passes its %d-byte cap", limit)
+		}
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // attemptResult is one replica's answer inside a hedged attempt.
 type attemptResult struct {
-	rep    *replica
-	data   []byte
-	status int
-	err    error
+	rep *replica
+	rp  *reply
+	err error
 }
 
 // attemptHedged runs one bounded attempt against primary, racing a hedged
 // request against backup when primary has not answered within HedgeAfter.
 // First success wins; the shared attempt context is canceled on return,
-// aborting the loser. Failures (transport errors and 5xx) mark the
-// replica; a canceled loser marks nothing.
-func (r *Remote) attemptHedged(ctx context.Context, primary, backup *replica, path string, body []byte) ([]byte, int, error) {
+// aborting the loser, whose reply the garbage collector rather than the
+// pool reclaims. Failures (transport errors and 5xx) mark the replica; a
+// canceled loser marks nothing.
+func (r *Remote) attemptHedged(ctx context.Context, primary, backup *replica, c call) (*reply, error) {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
 	ch := make(chan attemptResult, 2) // buffered: a canceled loser's send never blocks
 	launch := func(rep *replica) {
 		go func() {
-			data, status, err := r.do(actx, rep, path, body)
-			ch <- attemptResult{rep, data, status, err}
+			rp, err := r.do(actx, rep, c)
+			ch <- attemptResult{rep, rp, err}
 		}()
 	}
 	launch(primary)
@@ -367,9 +452,9 @@ func (r *Remote) attemptHedged(ctx context.Context, primary, backup *replica, pa
 			outstanding++
 		case res := <-ch:
 			outstanding--
-			if res.err == nil && res.status < http.StatusInternalServerError {
+			if res.err == nil && res.rp.status < http.StatusInternalServerError {
 				res.rep.succeed(r)
-				return res.data, res.status, nil
+				return res.rp, nil
 			}
 			// Don't hold a replica's health hostage to the caller's clock:
 			// an attempt cut short because the REQUEST deadline (not the
@@ -379,24 +464,26 @@ func (r *Remote) attemptHedged(ctx context.Context, primary, backup *replica, pa
 			}
 			err := res.err
 			if err == nil {
-				err = fmt.Errorf("cluster: replica %s answered status %d", res.rep.addr, res.status)
+				err = fmt.Errorf("cluster: replica %s answered status %d", res.rep.addr, res.rp.status)
+				res.rp.Release()
 			}
 			if firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	return nil, 0, firstErr
+	return nil, firstErr
 }
 
 // fetch resolves one logical exchange with shard s: replicas are tried
 // healthy-first in rotation, each attempt is hedged and bounded, and
 // failed attempts retry against the next replica after a jittered
-// exponential backoff. 2xx–4xx statuses return to the caller (the workers
+// exponential backoff. 2xx–4xx replies return to the caller (the workers
 // validate with the same rules the router does, so a 4xx is the client's
-// to see); transport errors and 5xx burn the attempt, and a shard with
-// no attempt left is server.ErrUnreachable.
-func (r *Remote) fetch(ctx context.Context, s int, path string, body []byte) ([]byte, int, error) {
+// to see), who releases them; transport errors, oversized bodies and 5xx
+// burn the attempt, and a shard with no attempt left is
+// server.ErrUnreachable.
+func (r *Remote) fetch(ctx context.Context, s int, c call) (*reply, error) {
 	ss := r.shards[s]
 	reps := ss.order(make([]*replica, 0, len(ss.replicas)))
 	var lastErr error
@@ -412,9 +499,9 @@ func (r *Remote) fetch(ctx context.Context, s int, path string, body []byte) ([]
 		if len(reps) > 1 {
 			backup = reps[(attempt+1)%len(reps)]
 		}
-		data, status, err := r.attemptHedged(ctx, primary, backup, path, body)
+		rp, err := r.attemptHedged(ctx, primary, backup, c)
 		if err == nil {
-			return data, status, nil
+			return rp, nil
 		}
 		lastErr = err
 		if ctx.Err() != nil {
@@ -424,26 +511,27 @@ func (r *Remote) fetch(ctx context.Context, s int, path string, body []byte) ([]
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, 0, fmt.Errorf("cluster: shard %d: %w: %w", s, server.ErrUnreachable, lastErr)
+	return nil, fmt.Errorf("cluster: shard %d: %w: %w", s, server.ErrUnreachable, lastErr)
 }
 
-// exchange fetches a scalar answer from shard s and returns a 200 reply's
-// body. Other statuses carry the worker's diagnostic: 400 and 404 keep
-// their meaning (the workers validate with the router's rules), anything
-// else is the shard's failure.
-func (r *Remote) exchange(ctx context.Context, s int, path string, body []byte) ([]byte, error) {
-	data, status, err := r.fetch(ctx, s, path, body)
-	if err != nil || status == http.StatusOK {
-		return data, err
+// exchange fetches a scalar answer from shard s and returns a 200 reply,
+// which the caller releases. Other statuses carry the worker's
+// diagnostic: 400 and 404 keep their meaning (the workers validate with
+// the router's rules), anything else is the shard's failure.
+func (r *Remote) exchange(ctx context.Context, s int, path string, body []byte) (*reply, error) {
+	rp, err := r.fetch(ctx, s, call{path: path, body: body})
+	if err != nil || rp.status == http.StatusOK {
+		return rp, err
 	}
+	defer rp.Release()
 	cause := server.ErrUnreachable
-	switch status {
+	switch rp.status {
 	case http.StatusBadRequest:
 		cause = server.ErrBadRequest
 	case http.StatusNotFound:
 		cause = spectrallpm.ErrPointNotIndexed
 	}
-	return nil, fmt.Errorf("cluster: shard %d answered status %d: %s: %w", s, status, bytes.TrimSpace(data), cause)
+	return nil, fmt.Errorf("cluster: shard %d answered status %d: %s: %w", s, rp.status, bytes.TrimSpace(rp.data), cause)
 }
 
 // backoff sleeps the jittered exponential retry delay (ctx-bounded):
@@ -474,18 +562,7 @@ func (r *Remote) rand64() uint64 {
 	return x
 }
 
-// --- per-shard reply parsing and torn-reply validation ---
-
-// boxReply is the wire form of a worker's POST /v1/box answer.
-type boxReply struct {
-	Count   int     `json:"count"`
-	Results [][]int `json:"results"`
-}
-
-// pagesReply is the wire form of a worker's POST /v1/pages answer.
-type pagesReply struct {
-	Runs [][]int `json:"runs"`
-}
+// --- per-shard reply decoding and torn-reply validation ---
 
 // badReply reports a reply that cannot be shard s's honest answer. It is
 // the shard's failure (server.ErrUnreachable), never part of an answer.
@@ -493,83 +570,124 @@ func badReply(s int, format string, args ...any) error {
 	return fmt.Errorf("cluster: shard %d reply %s: %w", s, fmt.Sprintf(format, args...), server.ErrUnreachable)
 }
 
-// validateBoxReply rejects a reply that cannot be shard s's honest
-// answer: a count/row mismatch, a malformed row, a rank outside the
-// shard's declared block, out-of-order ranks, or coordinates outside the
-// shard's bounding box. This is the torn-response defense: a worker
-// killed mid-write, or a topology wired to the wrong worker, costs
-// availability (the reply is treated as a failed attempt) but can never
-// place a wrong row into an answer.
-func (g *geometry) validateBoxReply(s int, rep *boxReply) error {
-	if rep.Count != len(rep.Results) {
-		return badReply(s, "declares %d rows, carries %d", rep.Count, len(rep.Results))
+// decodePart accepts shard s's reply to a box (or, with pages, a pages)
+// part only as a 200 carrying a whole reply frame, and decodes the frame
+// into rp.vals. This is the torn-response defense: a worker killed
+// mid-write, a JSON body, or a topology wired to the wrong worker costs
+// availability (the part fails) but can never place a wrong row into an
+// answer.
+func (g *geometry) decodePart(s int, rp *reply, pages bool) error {
+	if rp.status != http.StatusOK {
+		return badReply(s, "status %d: %s", rp.status, bytes.TrimSpace(rp.data))
+	}
+	if rp.ctype != server.FrameContentType {
+		return badReply(s, "Content-Type %q, want %q", rp.ctype, server.FrameContentType)
+	}
+	count, width, vals, err := server.ParseFrame(rp.data)
+	if err != nil {
+		return badReply(s, "%v", err)
+	}
+	if pages {
+		return g.decodeRuns(s, rp, count, width, vals)
+	}
+	return g.decodeRows(s, rp, count, width, vals)
+}
+
+// decodeRows decodes count box rows of width 1+d ([rank, c0, c1, ...])
+// into rp.vals, checking in the same pass that every rank lies in shard
+// s's rank block and ascends strictly, and that every coordinate lies in
+// the shard's bounding box.
+//
+//lpm:allocfree — the rejection branches excepted.
+func (g *geometry) decodeRows(s int, rp *reply, count, width int, vals []byte) error {
+	if width != 1+g.d {
+		//lpm:allocok — rejection branch; an honest reply never reaches it.
+		return badReply(s, "row width %d, want %d", width, 1+g.d)
 	}
 	lo, hi := g.offset[s], g.offset[s]+g.records[s]
-	prev := -1
-	for _, row := range rep.Results {
-		if len(row) != 1+g.d {
-			return badReply(s, "row arity %d, want %d", len(row), 1+g.d)
-		}
-		r := row[0]
-		if r < lo || r >= hi {
-			return badReply(s, "rank %d outside its block [%d,%d)", r, lo, hi)
-		}
-		if r <= prev {
-			return badReply(s, "ranks out of order (%d after %d)", r, prev)
-		}
-		prev = r
-		if !g.contains(s, row[1:]) {
-			return badReply(s, "coordinate %v outside shard bounds", row[1:])
-		}
+	if count > hi-lo {
+		//lpm:allocok — rejection branch; an honest reply never reaches it.
+		return badReply(s, "declares %d rows, more than its %d records", count, hi-lo)
 	}
+	n := count * width
+	if cap(rp.vals) < n {
+		rp.vals = make([]int, n)
+	}
+	out := rp.vals[:n]
+	blo, bhi := g.lo[s][:g.d], g.hi[s][:g.d]
+	prev := lo - 1
+	for i := 0; i < n; i += width {
+		src, row := vals[8*i:8*(i+width)], out[i:i+width]
+		rank := int(binary.LittleEndian.Uint64(src))
+		// Unsigned differences fold each two-sided range check into one
+		// compare; rowFault names the failed check off the hot path.
+		bad := uint(rank-prev-1) >= uint(hi-prev-1)
+		row[0] = rank
+		for j := range blo {
+			c := int(binary.LittleEndian.Uint64(src[8+8*j:]))
+			bad = bad || uint(c-blo[j]) > uint(bhi[j]-blo[j])
+			row[1+j] = c
+		}
+		if bad {
+			return g.rowFault(s, row, prev)
+		}
+		prev = rank
+	}
+	rp.vals = out
 	return nil
 }
 
-// validatePagesReply rejects malformed or unordered run lists, and runs
-// outside the pages of the shard's own rank block — a cross-wired reply
-// about another shard's pages must not reach an answer.
-func (g *geometry) validatePagesReply(s int, rep *pagesReply) error {
+// rowFault reports why row, following rank prev, is not an honest row of
+// shard s.
+func (g *geometry) rowFault(s int, row []int, prev int) error {
+	lo, hi := g.offset[s], g.offset[s]+g.records[s]
+	switch rank := row[0]; {
+	case rank < lo || rank >= hi:
+		return badReply(s, "rank %d outside its block [%d,%d)", rank, lo, hi)
+	case rank <= prev:
+		return badReply(s, "ranks out of order (%d after %d)", rank, prev)
+	}
+	return badReply(s, "rank %d coordinates %v outside shard bounds %v–%v", row[0], row[1:], g.lo[s], g.hi[s])
+}
+
+// decodeRuns decodes count page runs of width 2 ([start, pages]) into
+// rp.vals, checking in the same pass that the runs ascend without
+// overlap and lie inside the pages of shard s's own rank block — a
+// cross-wired reply about another shard's pages must not reach an answer.
+//
+//lpm:allocfree — the rejection branches excepted.
+func (g *geometry) decodeRuns(s int, rp *reply, count, width int, vals []byte) error {
+	if width != 2 {
+		//lpm:allocok — rejection branch; an honest reply never reaches it.
+		return badReply(s, "run width %d, want 2", width)
+	}
 	first, last := g.offset[s]/g.rpp, (g.offset[s]+g.records[s]-1)/g.rpp
+	if count > last-first+1 {
+		//lpm:allocok — rejection branch; an honest reply never reaches it.
+		return badReply(s, "declares %d runs, more than its block's %d pages", count, last-first+1)
+	}
+	n := 2 * count
+	if cap(rp.vals) < n {
+		rp.vals = make([]int, n)
+	}
+	out := rp.vals[:n]
 	prevEnd := -1
-	for _, run := range rep.Runs {
-		if len(run) != 2 || run[1] < 1 || g.records[s] == 0 || run[0] < first || run[0] > last-run[1]+1 {
-			return badReply(s, "run %v outside its block's pages [%d,%d]", run, first, last)
+	for i := 0; i < n; i += 2 {
+		start := int(binary.LittleEndian.Uint64(vals[8*i:]))
+		pages := int(binary.LittleEndian.Uint64(vals[8*i+8:]))
+		if pages < 1 || g.records[s] == 0 || start < first || start > last-pages+1 {
+			//lpm:allocok — rejection branch; an honest reply never reaches it.
+			return badReply(s, "run [%d,%d] outside its block's pages [%d,%d]", start, pages, first, last)
 		}
-		if run[0] <= prevEnd {
+		if start <= prevEnd {
+			//lpm:allocok — rejection branch; an honest reply never reaches it.
 			return badReply(s, "runs out of order")
 		}
-		prevEnd = run[0] + run[1] - 1
+		prevEnd = start + pages - 1
+		out[i], out[i+1] = start, pages
 	}
+	rp.vals = out
 	return nil
-}
-
-// parseBoxReply decodes and validates a worker's box reply into rows of
-// [rank, c0, c1, ...].
-func parseBoxReply(g *geometry, s int, data []byte) ([][]int, error) {
-	var rep boxReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, badReply(s, "%v", err)
-	}
-	if err := g.validateBoxReply(s, &rep); err != nil {
-		return nil, err
-	}
-	return rep.Results, nil
-}
-
-// parsePagesReply decodes and validates a worker's page-run reply.
-func parsePagesReply(g *geometry, s int, data []byte) ([]spectrallpm.PageRun, error) {
-	var rep pagesReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, badReply(s, "%v", err)
-	}
-	if err := g.validatePagesReply(s, &rep); err != nil {
-		return nil, err
-	}
-	runs := make([]spectrallpm.PageRun, len(rep.Runs))
-	for i, run := range rep.Runs {
-		runs[i] = spectrallpm.PageRun{Start: run[0], Pages: run[1]}
-	}
-	return runs, nil
 }
 
 // parseRankReply validates a worker's {"rank":N} against the shard's
@@ -608,13 +726,24 @@ func parsePointReply(g *geometry, s int, data []byte) ([]int, error) {
 // --- fan-out planning and assembly ---
 
 // boxPart is one shard's slice of a box query: the clipped box to send
-// and the validated reply.
+// and the validated reply, whose vals hold box rows [rank, c0, ...] at
+// stride 1+d in ascending global rank order, or page runs [start, pages].
 type boxPart struct {
 	shard       int
 	start, dims []int
-	rows        [][]int // box reply: [rank, c0, ...], ascending global ranks
-	runs        []spectrallpm.PageRun
+	rp          *reply // nil unless the part succeeded
 	err         error
+}
+
+// releaseParts returns the parts' replies to the pool once the answer
+// has been assembled from them.
+func releaseParts(parts []*boxPart) {
+	for _, p := range parts {
+		if p.rp != nil {
+			p.rp.Release()
+			p.rp = nil
+		}
+	}
 }
 
 // planParts clips the box against every shard's bounds, returning one
@@ -655,13 +784,13 @@ func appendRankBody(b []byte, rank int) []byte {
 	return append(b, '}')
 }
 
-// fanOut plans box b and fetches every part from path (/v1/box or
-// /v1/pages) concurrently. Each fetch owns its part exclusively; the
-// caller reads the parts only after fanOut returns.
-func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, path string) []*boxPart {
+// fanOut plans box b and fetches every part's rows (or, with pages, its
+// page runs) concurrently. Each fetch owns its part exclusively; the
+// caller reads the parts only after fanOut returns, and releases them.
+func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, pages bool) []*boxPart {
 	parts := g.planParts(b.Start, b.Dims)
 	if len(parts) == 1 {
-		r.fetchPart(ctx, g, parts[0], path)
+		r.fetchPart(ctx, g, parts[0], pages)
 		return parts
 	}
 	var wg sync.WaitGroup
@@ -669,7 +798,7 @@ func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, pat
 	for _, p := range parts {
 		go func(p *boxPart) {
 			defer wg.Done()
-			r.fetchPart(ctx, g, p, path)
+			r.fetchPart(ctx, g, p, pages)
 		}(p)
 	}
 	wg.Wait()
@@ -677,19 +806,39 @@ func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, pat
 }
 
 // fetchPart resolves one shard's slice of a box query into validated
-// rows (/v1/box) or runs (/v1/pages).
-func (r *Remote) fetchPart(ctx context.Context, g *geometry, p *boxPart, path string) {
-	data, status, err := r.fetch(ctx, p.shard, path, appendBoxBody(nil, p.start, p.dims))
-	switch {
-	case err != nil:
-	case status != http.StatusOK:
-		err = badReply(p.shard, "status %d: %s", status, bytes.TrimSpace(data))
-	case path == "/v1/box":
-		p.rows, err = parseBoxReply(g, p.shard, data)
-	default:
-		p.runs, err = parsePagesReply(g, p.shard, data)
+// rows (/v1/box) or runs (/v1/pages), asking for a reply frame no larger
+// than the part can honestly be.
+func (r *Remote) fetchPart(ctx context.Context, g *geometry, p *boxPart, pages bool) {
+	c := call{path: "/v1/box", body: appendBoxBody(nil, p.start, p.dims), frame: true}
+	width := 1 + g.d
+	if pages {
+		c.path, width = "/v1/pages", 2
+	}
+	c.limit = g.frameCap(p.shard, p.dims, width)
+	rp, err := r.fetch(ctx, p.shard, c)
+	if err == nil {
+		if err = g.decodePart(p.shard, rp, pages); err != nil {
+			rp.Release()
+		} else {
+			p.rp = rp
+		}
 	}
 	p.err = err
+}
+
+// frameCap is the size of the largest honest reply frame to shard s's
+// part of a box clipped to dims: one row (or page run) of width values
+// per cell of the part, and never more than the shard's records.
+func (g *geometry) frameCap(s int, dims []int, width int) int {
+	rows := 1
+	for _, d := range dims {
+		if d > 0 && rows > g.records[s]/d {
+			rows = g.records[s]
+			break
+		}
+		rows *= d
+	}
+	return server.FrameHeaderSize + rows*width*8 + server.FrameTrailerSize
 }
 
 // settle accounts for the failed parts of a fan-out. In strict mode any
@@ -730,7 +879,11 @@ func (r *Remote) partial(missing []int) error {
 func mergeRuns(dst []spectrallpm.PageRun, parts []*boxPart) []spectrallpm.PageRun {
 	dst = dst[:0]
 	for _, p := range parts {
-		for _, r := range p.runs {
+		if p.rp == nil {
+			continue
+		}
+		for i := 0; i < len(p.rp.vals); i += 2 {
+			r := spectrallpm.PageRun{Start: p.rp.vals[i], Pages: p.rp.vals[i+1]}
 			if n := len(dst); n > 0 {
 				cur := &dst[n-1]
 				curEnd := cur.Start + cur.Pages - 1
@@ -790,14 +943,19 @@ func (r *Remote) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield f
 	if err := g.validateBox(b.Start, b.Dims); err != nil {
 		return err
 	}
-	parts := r.fanOut(ctx, g, b, "/v1/box")
+	parts := r.fanOut(ctx, g, b, false)
+	defer releaseParts(parts)
 	missing, err := r.settle(parts)
 	if err != nil {
 		return err
 	}
+	w := 1 + g.d
 	for _, p := range parts {
-		for _, row := range p.rows {
-			if !yield(row[0], row[1:]) {
+		if p.rp == nil {
+			continue
+		}
+		for i, v := 0, p.rp.vals; i < len(v); i += w {
+			if !yield(v[i], v[i+1:i+w]) {
 				return nil
 			}
 		}
@@ -814,7 +972,8 @@ func (r *Remote) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []
 	if err := g.validateBox(b.Start, b.Dims); err != nil {
 		return dst, err
 	}
-	parts := r.fanOut(ctx, g, b, "/v1/pages")
+	parts := r.fanOut(ctx, g, b, true)
+	defer releaseParts(parts)
 	missing, err := r.settle(parts)
 	if err != nil {
 		return dst, err
@@ -839,13 +998,16 @@ func (r *Remote) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box)
 	stats := make([]spectrallpm.IOStats, len(boxes))
 	var missing []int
 	for i, b := range boxes {
-		parts := r.fanOut(ctx, g, b, "/v1/pages")
+		parts := r.fanOut(ctx, g, b, true)
 		boxMissing, err := r.settle(parts)
+		if err == nil {
+			missing = mergeMissing(missing, boxMissing)
+			stats[i] = statsFromRuns(mergeRuns(nil, parts))
+		}
+		releaseParts(parts)
 		if err != nil {
 			return nil, err
 		}
-		missing = mergeMissing(missing, boxMissing)
-		stats[i] = statsFromRuns(mergeRuns(nil, parts))
 	}
 	return stats, r.partial(missing)
 }
@@ -880,10 +1042,11 @@ func (r *Remote) RankContext(ctx context.Context, coords []int) (int, error) {
 		if !g.contains(s, coords) {
 			continue
 		}
-		data, err := r.exchange(ctx, s, "/v1/rank", body)
+		rp, err := r.exchange(ctx, s, "/v1/rank", body)
 		switch {
 		case err == nil:
-			return parseRankReply(g, s, data)
+			defer rp.Release()
+			return parseRankReply(g, s, rp.data)
 		case !g.points:
 			return 0, err
 		case errors.Is(err, server.ErrUnreachable):
@@ -908,11 +1071,12 @@ func (r *Remote) PointContext(ctx context.Context, rank int) ([]int, error) {
 		return nil, fmt.Errorf("cluster: rank %d outside [0,%d): %w", rank, g.total, spectrallpm.ErrRankOutOfRange)
 	}
 	s := g.owner(rank)
-	data, err := r.exchange(ctx, s, "/v1/point", appendRankBody(nil, rank))
+	rp, err := r.exchange(ctx, s, "/v1/point", appendRankBody(nil, rank))
 	if err != nil {
 		return nil, err
 	}
-	return parsePointReply(g, s, data)
+	defer rp.Release()
+	return parsePointReply(g, s, rp.data)
 }
 
 // Rank and Point complete the Queryable surface, whose signatures carry

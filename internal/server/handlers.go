@@ -57,6 +57,26 @@ func partial(err error) ([]int, error) {
 	return nil, err
 }
 
+// framedPartial is partial for a reply frame, which cannot carry
+// shards_missing: a partial answer fails whole, as a 502.
+func framedPartial(err error) error {
+	if pe, ok := err.(*PartialError); ok {
+		return fmt.Errorf("%w: %v, and a reply frame cannot label a partial answer", ErrUnreachable, pe)
+	}
+	return err
+}
+
+// replyType is the Content-Type of a box or pages answer: a reply frame
+// when the request asked for one, JSON otherwise.
+func replyType(framed bool) string {
+	if framed {
+		return FrameContentType
+	}
+	return jsonType
+}
+
+const jsonType = "application/json"
+
 // Upstream is the optional extension of a Queryable whose answers come
 // from other processes, such as the cluster router. It carries what
 // Queryable cannot express: lookups bounded by the request deadline,
@@ -113,12 +133,13 @@ func RetryAfterSeconds(base time.Duration, slot int64) int {
 //  5. run fn against the current index handle, retrying on a handle
 //     closed by a concurrent reload — the response buffer resets per
 //     attempt, so no response mixes two index generations,
-//  6. write the fully buffered response in a single Write.
+//  6. write the fully buffered response, of type contentType, in a single
+//     Write.
 //
 // fn appends the response to ps.Buf and returns nil, or returns an error
 // having written nothing the client will see — on error the buffer is
 // discarded, so a request that dies mid-query never emits a partial body.
-func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, fn func(ctx context.Context, q Queryable, ps *ProtoScratch) error) {
+func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, contentType string, fn func(ctx context.Context, q Queryable, ps *ProtoScratch) error) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	release, status, slot := s.admit(ctx)
@@ -158,7 +179,7 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, f
 		return
 	}
 	faultinject.Fire(faultinject.PointHandlerWrite)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(ps.Buf)))
 	w.Write(ps.Buf)
 }
@@ -190,7 +211,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
-	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	s.serveDecoded(w, r, &req, jsonType, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		var rank int
 		var err error
 		if u, ok := q.(Upstream); ok {
@@ -208,7 +229,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	var req PointRequest
-	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	s.serveDecoded(w, r, &req, jsonType, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		var coords []int
 		var err error
 		if u, ok := q.(Upstream); ok {
@@ -226,30 +247,54 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
 	var req BoxRequest
-	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
-		var countAt int
-		ps.Buf, countAt = AppendBoxHeader(ps.Buf)
+	framed := acceptsFrame(r)
+	s.serveDecoded(w, r, &req, replyType(framed), func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+		var at int
+		if framed {
+			ps.Buf, at = AppendFrameHeader(ps.Buf)
+		} else {
+			ps.Buf, at = AppendBoxHeader(ps.Buf)
+		}
 		count := 0
 		err := q.ScanIntoContext(ctx, spectrallpm.Box{Start: req.Start, Dims: req.Dims},
 			func(rank int, coords []int) bool {
-				ps.Buf = AppendBoxRow(ps.Buf, count == 0, rank, coords)
+				if framed {
+					ps.Buf = AppendFrameRow(ps.Buf, rank, coords)
+				} else {
+					ps.Buf = AppendBoxRow(ps.Buf, count == 0, rank, coords)
+				}
 				count++
 				return true
 			})
+		if framed {
+			if err := framedPartial(err); err != nil {
+				return err
+			}
+			ps.Buf = FinishFrame(ps.Buf, at, count, 1+q.D())
+			return nil
+		}
 		missing, err := partial(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = FinishBoxResponse(ps.Buf, countAt, count, missing)
+		ps.Buf = FinishBoxResponse(ps.Buf, at, count, missing)
 		return nil
 	})
 }
 
 func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 	var req BoxRequest
-	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	framed := acceptsFrame(r)
+	s.serveDecoded(w, r, &req, replyType(framed), func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		runs, err := q.PagesIntoContext(ctx, spectrallpm.Box{Start: req.Start, Dims: req.Dims}, ps.Runs[:0])
 		ps.Runs = runs
+		if framed {
+			if err := framedPartial(err); err != nil {
+				return err
+			}
+			ps.Buf = appendPagesFrame(ps.Buf, runs)
+			return nil
+		}
 		missing, err := partial(err)
 		if err != nil {
 			return err
@@ -261,7 +306,7 @@ func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	s.serveDecoded(w, r, &req, jsonType, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		if len(req.Boxes) == 0 {
 			return fmt.Errorf("%w: batch has no boxes", ErrBadRequest)
 		}
@@ -300,7 +345,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	ps.Buf = append(ps.Buf, `,"records":`...)
 	ps.Buf = AppendInt(ps.Buf, h.q.N())
 	ps.Buf = append(ps.Buf, '}')
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonType)
 	if status != "ok" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
@@ -325,6 +370,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if u, ok := h.q.(Upstream); ok {
 		u.AddStats(m)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", jsonType)
 	json.NewEncoder(w).Encode(m)
 }

@@ -1,9 +1,11 @@
 // The protocol layer: request decoding and response encoding, kept apart
-// from admission/deadline/reload mechanics so a compact binary protocol
-// can replace the JSON pair without touching the serving core. Responses
-// are appended to a pooled byte buffer with strconv — no encoding/json,
-// no reflection — and handed to the transport as one finished []byte, so
-// a request that dies mid-query has written nothing.
+// from admission/deadline/reload mechanics. Box and pages answers have a
+// second, binary encoding — the reply frame below — that the router asks
+// its workers for; every other answer, and every answer to a client that
+// does not ask for a frame, is JSON. Responses are appended to a pooled
+// byte buffer with strconv or encoding/binary — no encoding/json, no
+// reflection — and handed to the transport as one finished []byte, so a
+// request that dies mid-query has written nothing.
 //
 // The types and append helpers are exported because the layer is shared:
 // the cluster package (internal/cluster) encodes its worker requests and
@@ -11,12 +13,16 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -202,6 +208,107 @@ func AppendBatchResponse(b []byte, stats []spectrallpm.IOStats, missing []int) [
 	b = append(b, ']')
 	b = appendShardsMissing(b, missing)
 	return append(b, '}')
+}
+
+// --- the reply frame (the internal worker→router hop) ---
+
+// A reply frame is the fixed-width binary form of a box or pages answer,
+// sent instead of JSON when the request carries Accept: FrameContentType:
+//
+//	magic "SLPMRF1\n" | count u64 | width u64 | count×width int64 | crc32c u32
+//
+// All integers are little-endian. A box row is width = 1+d values (rank,
+// then coordinates); a page run is width = 2 values (start, pages). The
+// CRC32C (Castagnoli, as in the v2 codec) covers every byte before it.
+// A frame has no shards_missing field, so a partial answer is never
+// framed.
+const (
+	FrameContentType = "application/x-slpm-frame"
+	FrameHeaderSize  = 24
+	FrameTrailerSize = 4
+	frameMagic       = "SLPMRF1\n"
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Frame decoding failures. Each is a reply that cannot be a whole frame.
+var (
+	errFrameShort  = errors.New("reply frame shorter than its header and checksum")
+	errFrameMagic  = errors.New("reply frame has no SLPMRF1 magic")
+	errFrameLength = errors.New("reply frame count×width disagrees with its length")
+	errFrameCRC    = errors.New("reply frame checksum mismatch")
+)
+
+// acceptsFrame reports whether the request asked for a reply frame.
+func acceptsFrame(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), FrameContentType)
+}
+
+// AppendFrameHeader opens a frame and reserves its count and width,
+// which FinishFrame fills in once the values are known.
+func AppendFrameHeader(b []byte) (out []byte, at int) {
+	at = len(b)
+	b = append(b, frameMagic...)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	return binary.LittleEndian.AppendUint64(b, 0), at
+}
+
+// AppendFrameRow appends one box row: rank, then coords.
+//
+//lpm:allocfree
+func AppendFrameRow(b []byte, rank int, coords []int) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(rank))
+	for _, c := range coords {
+		b = binary.LittleEndian.AppendUint64(b, uint64(c))
+	}
+	return b
+}
+
+// FinishFrame writes count and width into the header opened at at and
+// appends the checksum over the frame.
+func FinishFrame(b []byte, at, count, width int) []byte {
+	binary.LittleEndian.PutUint64(b[at+8:], uint64(count))
+	binary.LittleEndian.PutUint64(b[at+16:], uint64(width))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[at:], castagnoli))
+}
+
+// appendPagesFrame encodes page runs as a frame of width 2.
+func appendPagesFrame(b []byte, runs []spectrallpm.PageRun) []byte {
+	b, at := AppendFrameHeader(b)
+	for _, r := range runs {
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Start))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Pages))
+	}
+	return FinishFrame(b, at, len(runs), 2)
+}
+
+// ParseFrame checks a whole frame — magic, a count×width that matches its
+// length exactly, and the checksum — and returns its count, width and the
+// count×width little-endian int64 values. It never allocates.
+func ParseFrame(data []byte) (count, width int, vals []byte, err error) {
+	if len(data) < FrameHeaderSize+FrameTrailerSize {
+		return 0, 0, nil, errFrameShort
+	}
+	if string(data[:len(frameMagic)]) != frameMagic {
+		return 0, 0, nil, errFrameMagic
+	}
+	c := binary.LittleEndian.Uint64(data[8:])
+	w := binary.LittleEndian.Uint64(data[16:])
+	vals = data[FrameHeaderSize : len(data)-FrameTrailerSize]
+	if len(vals)%8 != 0 {
+		return 0, 0, nil, errFrameLength
+	}
+	// Compare by division, so no count×width can wrap around to a match,
+	// and keep the width within an int on every platform.
+	cells := uint64(len(vals) / 8)
+	if w > math.MaxInt32 || w == 0 && c != 0 || w != 0 && (c > cells/w || c*w != cells) {
+		return 0, 0, nil, errFrameLength
+	}
+	body := data[:len(data)-FrameTrailerSize]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return 0, 0, nil, errFrameCRC
+	}
+	return int(c), int(w), vals, nil
 }
 
 // --- request decoding (stdlib json; request parsing is not a hot path) ---

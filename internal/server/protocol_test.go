@@ -1,13 +1,19 @@
 // Protocol edge cases: the request-body size cap at its exact boundary,
 // malformed and non-integer JSON, and the empty batch — each paired with
 // an assertion that the pooled protoScratch was released, because the
-// error paths are exactly where a leaked lease would hide.
+// error paths are exactly where a leaked lease would hide — and the reply
+// frame: Accept negotiation, no framed partials, and whole-frame checks.
 package server
 
 import (
+	"context"
+	"encoding/binary"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,5 +150,169 @@ func TestScratchReleasedOnSuccess(t *testing.T) {
 	}
 	if live := protoLive.Load(); live != 0 {
 		t.Fatalf("%d scratches still live after sequential requests", live)
+	}
+}
+
+// postFramed drives one request that asks for a reply frame.
+func postFramed(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set("Accept", FrameContentType)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	return w
+}
+
+// frameVals decodes a reply frame into its count, width and values.
+func frameVals(t *testing.T, w *httptest.ResponseRecorder) (count, width int, vals []int) {
+	t.Helper()
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d body %q", w.Code, w.Body)
+	}
+	if ct := w.Header().Get("Content-Type"); ct != FrameContentType {
+		t.Fatalf("Content-Type %q, want %q", ct, FrameContentType)
+	}
+	if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", cl, w.Body.Len())
+	}
+	count, width, raw, err := ParseFrame(w.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(raw); i += 8 {
+		vals = append(vals, int(binary.LittleEndian.Uint64(raw[i:])))
+	}
+	return count, width, vals
+}
+
+// TestReplyFrameNegotiation pins the Accept negotiation on box and pages:
+// with the header the answer is a reply frame carrying exactly the JSON
+// answer's values; without it the JSON is unchanged.
+func TestReplyFrameNegotiation(t *testing.T) {
+	s := newEdgeServer(t)
+	const box = `{"start":[1,0],"dims":[2,3]}`
+
+	js := postBalanced(t, s, "/v1/box", box)
+	if ct := js.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("box without Accept: Content-Type %q", ct)
+	}
+	var want struct {
+		Count   int     `json:"count"`
+		Results [][]int `json:"results"`
+	}
+	if err := json.Unmarshal(js.Body.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	count, width, vals := frameVals(t, postFramed(t, s, "/v1/box", box))
+	if count != want.Count || width != 3 || len(vals) != 3*count {
+		t.Fatalf("box frame count %d width %d (%d values), want count %d width 3", count, width, len(vals), want.Count)
+	}
+	for i, row := range want.Results {
+		if !slices.Equal(vals[3*i:3*i+3], row) {
+			t.Fatalf("box frame row %d = %v, JSON row %v", i, vals[3*i:3*i+3], row)
+		}
+	}
+
+	var runs struct {
+		Runs [][]int `json:"runs"`
+	}
+	if err := json.Unmarshal(postBalanced(t, s, "/v1/pages", box).Body.Bytes(), &runs); err != nil {
+		t.Fatal(err)
+	}
+	count, width, vals = frameVals(t, postFramed(t, s, "/v1/pages", box))
+	if count != len(runs.Runs) || width != 2 {
+		t.Fatalf("pages frame count %d width %d, want %d runs of width 2", count, width, len(runs.Runs))
+	}
+	for i, run := range runs.Runs {
+		if !slices.Equal(vals[2*i:2*i+2], run) {
+			t.Fatalf("pages frame run %d = %v, JSON run %v", i, vals[2*i:2*i+2], run)
+		}
+	}
+
+	if live := protoLive.Load(); live != 0 {
+		t.Fatalf("%d scratches still live", live)
+	}
+}
+
+// partialQ answers every box and pages query for the shards it has and
+// labels the rest missing, as a router in -partial mode does.
+type partialQ struct{ Queryable }
+
+func (q partialQ) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(int, []int) bool) error {
+	if err := q.Queryable.ScanIntoContext(ctx, b, yield); err != nil {
+		return err
+	}
+	return &PartialError{Missing: []int{1}}
+}
+
+func (q partialQ) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
+	runs, err := q.Queryable.PagesIntoContext(ctx, b, dst)
+	if err != nil {
+		return runs, err
+	}
+	return runs, &PartialError{Missing: []int{1}}
+}
+
+// TestFramedPartialIsBadGateway pins that a partial answer is never
+// framed: a frame has no shards_missing, so the framed request fails
+// whole with 502 while the JSON one is labeled.
+func TestFramedPartialIsBadGateway(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "idx.slpm")
+	writeIndexFile(t, path, spectrallpm.WithGrid(4, 4), spectrallpm.WithPageSize(4))
+	s := newTestServer(t, path, func(c *Config) {
+		c.Open = func(p string) (Queryable, error) {
+			q, err := Open(p)
+			if err != nil {
+				return nil, err
+			}
+			return partialQ{q}, nil
+		}
+	})
+	const box = `{"start":[0,0],"dims":[2,2]}`
+	for _, path := range []string{"/v1/box", "/v1/pages"} {
+		if w := postBalanced(t, s, path, box); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"shards_missing":[1]`) {
+			t.Fatalf("JSON %s: status %d body %q, want a labeled partial", path, w.Code, w.Body)
+		}
+		if w := postFramed(t, s, path, box); w.Code != http.StatusBadGateway {
+			t.Fatalf("framed %s: status %d body %q, want 502", path, w.Code, w.Body)
+		}
+	}
+	if live := protoLive.Load(); live != 0 {
+		t.Fatalf("%d scratches still live", live)
+	}
+}
+
+// TestParseFrameRejects pins ParseFrame's whole-frame checks: every
+// truncation, a flipped byte anywhere, and a count×width that wraps
+// around to the frame's length are refused.
+func TestParseFrameRejects(t *testing.T) {
+	b, at := AppendFrameHeader(nil)
+	b = AppendFrameRow(b, 7, []int{1, 2})
+	b = AppendFrameRow(b, 9, []int{3, 4})
+	good := FinishFrame(b, at, 2, 3)
+	if c, w, vals, err := ParseFrame(good); err != nil || c != 2 || w != 3 || len(vals) != 48 {
+		t.Fatalf("good frame: count %d width %d %d bytes, %v", c, w, len(vals), err)
+	}
+	for n := 0; n < len(good); n++ {
+		if _, _, _, err := ParseFrame(good[:n]); err == nil {
+			t.Fatalf("frame truncated to %d of %d bytes accepted", n, len(good))
+		}
+	}
+	for i := range good {
+		bad := slices.Clone(good)
+		bad[i] ^= 0x10
+		if _, _, _, err := ParseFrame(bad); err == nil {
+			t.Fatalf("frame with byte %d flipped accepted", i)
+		}
+	}
+	// (2^64+2)/3 rows of width 3 is 2^64+2 values: modulo 2^64, exactly
+	// the frame's two. A multiplying check would take it.
+	b, at = AppendFrameHeader(nil)
+	b = AppendFrameRow(b, 0, []int{0})
+	if _, _, _, err := ParseFrame(FinishFrame(b, at, 6148914691236517206, 3)); err == nil {
+		t.Fatal("count×width that wraps to the frame length accepted")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseFrame(good) }); allocs != 0 {
+		t.Fatalf("ParseFrame allocates %.0f times", allocs)
 	}
 }
