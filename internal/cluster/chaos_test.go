@@ -411,3 +411,55 @@ func TestChaosRouterOverloadSheds(t *testing.T) {
 		t.Fatalf("%d protocol scratches leaked", n)
 	}
 }
+
+// TestWorkerReplyFiresOncePerRequest pins the worker.reply fault point to
+// one fire per worker request, however many boxes a batch carries — a
+// latched stall then holds a request once, not once per box. A router
+// request fires it only in the workers it reaches.
+func TestWorkerReplyFiresOncePerRequest(t *testing.T) {
+	defer faultinject.DisarmAll()
+	f := newChaosFixture(t, 2, 1, nil)
+	var fires atomic.Int64
+	faultinject.Arm(faultinject.PointWorkerReply, func() { fires.Add(1) })
+
+	var boxes []string
+	for i := range 16 {
+		boxes = append(boxes, boxBody(spectrallpm.Box{Start: []int{i % 7, i / 2}, Dims: []int{2, 1}}))
+	}
+	batch := `{"boxes":[` + strings.Join(boxes, ",") + `]}`
+	w := f.workers[0][0]
+	for _, tc := range []struct {
+		name, path, body string
+		framed           bool
+	}{
+		{"batch_json", "/v1/batch", batch, false},
+		{"batch_framed", "/v1/batch", batch, true},
+		{"box_framed", "/v1/box", boxes[0], true},
+		{"pages", "/v1/pages", boxes[0], false},
+	} {
+		req := httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+		if tc.framed {
+			req.Header.Set("Accept", server.FrameContentType)
+		}
+		rec := httptest.NewRecorder()
+		before := fires.Load()
+		w.srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d %q", tc.name, rec.Code, rec.Body)
+		}
+		if n := fires.Load() - before; n != 1 {
+			t.Fatalf("%s: worker.reply fired %d times for one request", tc.name, n)
+		}
+	}
+
+	// Through the router: one fire per shard part, none for the router.
+	rt := startRouter(t, f.topology(), nil)
+	handshake(t, rt)
+	before := fires.Load()
+	if w := rpost(rt, "/v1/batch", `{"boxes":[`+boxBody(f.boxes[0])+`,`+boxBody(f.boxes[3])+`]}`); w.Code != http.StatusOK {
+		t.Fatalf("router batch: status %d %q", w.Code, w.Body)
+	}
+	if n := fires.Load() - before; n != 2 {
+		t.Fatalf("a router batch over 2 shards fired worker.reply %d times, want 2", n)
+	}
+}

@@ -26,6 +26,7 @@ import (
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
+	"github.com/spectral-lpm/spectrallpm/internal/shard"
 )
 
 // writeShardedFile builds a sharded index and persists its v2 container.
@@ -185,7 +186,7 @@ func boxBody(b spectrallpm.Box) string {
 }
 
 // askWorker sends one request straight to a worker's handler — asking
-// for a reply frame on /v1/box and /v1/pages, as the router does — and
+// for a reply frame on /v1/box and /v1/batch, as the router does — and
 // returns the 200 body. An empty body sends a GET.
 func askWorker(t testing.TB, w *worker, path, body string) []byte {
 	t.Helper()
@@ -193,7 +194,7 @@ func askWorker(t testing.TB, w *worker, path, body string) []byte {
 	if body != "" {
 		req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	}
-	if path == "/v1/box" || path == "/v1/pages" {
+	if path == "/v1/box" || path == "/v1/batch" {
 		req.Header.Set("Accept", server.FrameContentType)
 	}
 	rec := httptest.NewRecorder()
@@ -586,8 +587,9 @@ func TestRouterPartial(t *testing.T) {
 }
 
 // TestOversizedReplyBounded serves shard 1 from a worker that answers
-// every box part with an endless frame stream and every pages part with a
-// Content-Length far past the part's cap. The router reads at most one
+// every box part with an endless frame stream and every batch part (which
+// is how pages queries travel) with a Content-Length far past the part's
+// cap. The router reads at most one
 // byte past the cap (and nothing of a declared-oversized body), drops the
 // connection and fails the part: 502 in strict mode, a labeled partial
 // in -partial mode. Buffering the endless body whole could never finish.
@@ -610,7 +612,7 @@ func TestOversizedReplyBounded(t *testing.T) {
 					w.(http.Flusher).Flush()
 				}
 				stopped <- struct{}{}
-			case "/v1/pages":
+			case "/v1/batch":
 				w.Header().Set("Content-Type", server.FrameContentType)
 				w.Header().Set("Content-Length", "1000000000")
 				w.WriteHeader(http.StatusOK)
@@ -636,9 +638,10 @@ func TestOversizedReplyBounded(t *testing.T) {
 	handshake(t, partial)
 
 	all := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{8, 8}}
-	for _, path := range []string{"/v1/box", "/v1/pages"} {
-		if w := rpost(strict, path, boxBody(all)); w.Code != http.StatusBadGateway {
-			t.Fatalf("strict %s: status %d body %q, want 502", path, w.Code, w.Body)
+	batch := `{"boxes":[` + boxBody(all) + `]}`
+	for _, tc := range [][2]string{{"/v1/box", boxBody(all)}, {"/v1/pages", boxBody(all)}, {"/v1/batch", batch}} {
+		if w := rpost(strict, tc[0], tc[1]); w.Code != http.StatusBadGateway {
+			t.Fatalf("strict %s: status %d body %q, want 502", tc[0], w.Code, w.Body)
 		}
 	}
 	got := decodeBox(t, rpost(partial, "/v1/box", boxBody(all)))
@@ -657,6 +660,9 @@ func TestOversizedReplyBounded(t *testing.T) {
 	}
 	if w := rpost(partial, "/v1/pages", boxBody(all)); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"shards_missing":[1]`) {
 		t.Fatalf("partial pages: %d %q", w.Code, w.Body)
+	}
+	if w := rpost(partial, "/v1/batch", batch); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"shards_missing":[1]`) {
+		t.Fatalf("partial batch: %d %q", w.Code, w.Body)
 	}
 	// Each endless stream ends because the router hung up on it.
 	for i := 0; i < 2; i++ {
@@ -832,15 +838,15 @@ func TestMergeRunsAndStats(t *testing.T) {
 		{"contained", [][]spectrallpm.PageRun{mk([2]int{0, 6}), mk([2]int{2, 2})}, mk([2]int{0, 6})},
 	}
 	for _, tc := range cases {
-		parts := make([]*boxPart, len(tc.parts))
+		parts := make([]*part, len(tc.parts))
 		for i, runs := range tc.parts {
 			rp := &reply{}
 			for _, r := range runs {
-				rp.vals = append(rp.vals, r.Start, r.Pages)
+				rp.vals = append(rp.vals, 0, r.Start, r.Pages)
 			}
-			parts[i] = &boxPart{rp: rp}
+			parts[i] = &part{boxes: []int{0}, rp: rp}
 		}
-		got := mergeRuns(nil, parts)
+		got := mergeBox(nil, parts, 0)
 		if len(got) == 0 && len(tc.want) == 0 {
 			continue
 		}
@@ -873,12 +879,12 @@ func framed(data []byte) *reply {
 	return &reply{status: http.StatusOK, ctype: server.FrameContentType, data: data}
 }
 
-// tornGeometry is two shards of a 4×4 grid with 4 records each and 4
-// records per page: shard 0 holds ranks [0,4) in x∈[0,1], shard 1 ranks
-// [4,8) in x∈[2,3].
+// tornGeometry is two shards of a 4×4 grid with 4 records each and 2
+// records per page: shard 0 holds ranks [0,4) in x∈[0,1] on pages [0,1],
+// shard 1 ranks [4,8) in x∈[2,3] on pages [2,3].
 func tornGeometry() *geometry {
 	return &geometry{
-		d: 2, total: 8, rpp: 4, numPages: 2,
+		d: 2, total: 8, rpp: 2, numPages: 4,
 		lo:      [][]int{{0, 0}, {2, 0}},
 		hi:      [][]int{{1, 3}, {3, 3}},
 		offset:  []int{0, 4},
@@ -886,10 +892,20 @@ func tornGeometry() *geometry {
 	}
 }
 
-// tornCase is a reply to a box (or pages) part that shard may not accept.
+// tornPart wraps a reply to shard s's part. A batch part sent two boxes
+// whose honest answer holds at most two runs.
+func tornPart(s int, batch bool, rp *reply) *part {
+	p := &part{shard: s, rp: rp}
+	if batch {
+		p.boxes, p.rows = []int{0, 1}, 2
+	}
+	return p
+}
+
+// tornCase is a reply to a box (or batch) part that shard may not accept.
 type tornCase struct {
 	name  string
-	pages bool
+	batch bool
 	shard int
 	rp    *reply
 }
@@ -920,40 +936,67 @@ func tornReplies() []tornCase {
 		{"json_body", false, 0, &reply{status: http.StatusOK, ctype: "application/json",
 			data: []byte(`{"count":2,"results":[[0,0,0],[3,1,3]]}`)}},
 		{"error_status", false, 0, &reply{status: http.StatusBadRequest, ctype: "text/plain", data: []byte("bad request")}},
-		{"overlapping_runs", true, 0, framed(testFrame(2, 2, 0, 2, 1, 1))},
-		{"run_past_pages", true, 0, framed(testFrame(1, 2, 0, 5))},
-		// Cross-wired: a run inside [0,numPages) but on shard 1's pages.
-		{"cross_wired_run", true, 0, framed(testFrame(1, 2, 1, 1))},
-		{"empty_run", true, 0, framed(testFrame(1, 2, 0, 0))},
-		{"run_width", true, 1, framed(testFrame(1, 3, 1, 1, 1))},
+		// Batch runs: rows [box index, start page, pages].
+		{"batch_width_2", true, 0, framed(testFrame(1, 2, 0, 1))},
+		{"batch_width_4", true, 0, framed(testFrame(1, 4, 0, 0, 1, 0))},
+		{"box_not_sent", true, 0, framed(testFrame(1, 3, 2, 0, 1))},
+		{"negative_box", true, 0, framed(testFrame(1, 3, -1, 0, 1))},
+		{"box_descends", true, 0, framed(testFrame(2, 3, 1, 0, 1, 0, 1, 1))},
+		{"overlapping_runs", true, 0, framed(testFrame(2, 3, 0, 0, 2, 0, 1, 1))},
+		{"runs_out_of_order", true, 0, framed(testFrame(2, 3, 0, 1, 1, 0, 0, 1))},
+		{"duplicate_run", true, 1, framed(testFrame(2, 3, 1, 2, 1, 1, 2, 1))},
+		{"run_past_pages", true, 0, framed(testFrame(1, 3, 0, 1, 2))},
+		// Cross-wired: runs inside [0,numPages) but on the other shard's pages.
+		{"cross_wired_run", true, 0, framed(testFrame(1, 3, 0, 2, 1))},
+		{"cross_wired_run_low", true, 1, framed(testFrame(1, 3, 0, 1, 1))},
+		{"empty_run", true, 0, framed(testFrame(1, 3, 0, 0, 0))},
+		{"negative_run", true, 0, framed(testFrame(1, 3, 0, 1, -1))},
+		// Three runs that each pass, but two boxes can honestly hold two.
+		{"count_over_cap", true, 0, framed(testFrame(3, 3, 0, 0, 1, 1, 0, 1, 1, 1, 1))},
+		{"json_batch", true, 0, &reply{status: http.StatusOK, ctype: "application/json",
+			data: []byte(`{"stats":[{"pages":1,"seeks":1,"span_pages":1}]}`)}},
+		{"error_status_batch", true, 0, &reply{status: http.StatusBadRequest, ctype: "text/plain", data: []byte("bad request")}},
 	}
 }
 
-// TestTornReplyRejected feeds the part decoder torn, malformed and
+// decodeTorn decodes tc's reply as its part kind expects.
+func (g *geometry) decodeTorn(p *part, batch bool) error {
+	if batch {
+		return g.decodeBatch(p)
+	}
+	return g.decodeRows(p)
+}
+
+// TestTornReplyRejected feeds the part decoders torn, malformed and
 // cross-wired replies; none may pass, and honest frames decode exactly.
 func TestTornReplyRejected(t *testing.T) {
 	g := tornGeometry()
 	for _, tc := range tornReplies() {
-		if err := g.decodePart(tc.shard, tc.rp, tc.pages); err == nil {
+		if err := g.decodeTorn(tornPart(tc.shard, tc.batch, tc.rp), tc.batch); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !errors.Is(err, server.ErrUnreachable) {
 			t.Errorf("%s: %v does not fail the part as unreachable", tc.name, err)
 		}
 	}
 	good := framed(testFrame(2, 3, 0, 0, 0, 3, 1, 3))
-	if err := g.decodePart(0, good, false); err != nil {
+	if err := g.decodeRows(tornPart(0, false, good)); err != nil {
 		t.Errorf("good box reply rejected: %v", err)
 	} else if !slices.Equal(good.vals, []int{0, 0, 0, 3, 1, 3}) {
 		t.Errorf("good box reply decoded to %v", good.vals)
 	}
-	if err := g.decodePart(0, framed(testFrame(0, 3)), false); err != nil {
+	if err := g.decodeRows(tornPart(0, false, framed(testFrame(0, 3)))); err != nil {
 		t.Errorf("empty box reply rejected: %v", err)
 	}
-	runs := framed(testFrame(1, 2, 1, 1))
-	if err := g.decodePart(1, runs, true); err != nil {
-		t.Errorf("good pages reply rejected: %v", err)
-	} else if !slices.Equal(runs.vals, []int{1, 1}) {
-		t.Errorf("good pages reply decoded to %v", runs.vals)
+	for s, want := range [][]int{{0, 0, 1, 1, 1, 1}, {0, 2, 2}} {
+		runs := framed(testFrame(len(want)/3, 3, want...))
+		if err := g.decodeBatch(tornPart(s, true, runs)); err != nil {
+			t.Errorf("shard %d: good batch reply rejected: %v", s, err)
+		} else if !slices.Equal(runs.vals, want) {
+			t.Errorf("shard %d: good batch reply decoded to %v", s, runs.vals)
+		}
+	}
+	if err := g.decodeBatch(tornPart(1, true, framed(testFrame(0, 3)))); err != nil {
+		t.Errorf("empty batch reply rejected: %v", err)
 	}
 }
 
@@ -1100,4 +1143,178 @@ func TestWorkerShardView(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("shard scan:\n got %v\nwant %v", got, want)
 	}
+}
+
+// TestBatchOnePartPerShard pins the batch plan: a 16-box batch reaches
+// each worker as at most one request, and the answer is byte-identical to
+// the monolithic ShardedIndex's. The boxes straddle shard cuts, and in the
+// point-set flavor, whose shard bounding boxes overlap, some touch no
+// shard at all. With one shard's only replica down, -partial labels
+// exactly that shard, and the boxes that miss it keep their exact stats.
+func TestBatchOnePartPerShard(t *testing.T) {
+	// Three clusters of a 32×32 frame, leaving empty space between them.
+	var pts [][]int
+	seen := map[[2]int]bool{}
+	x := uint32(7)
+	for _, c := range [][4]int{{2, 2, 10, 10}, {18, 4, 12, 9}, {6, 18, 12, 12}} {
+		for range 40 {
+			x = x*1664525 + 1013904223
+			p := [2]int{c[0] + int(x>>8)%c[2], c[1] + int(x>>20)%c[3]}
+			if !seen[p] {
+				seen[p] = true
+				pts = append(pts, p[:])
+			}
+		}
+	}
+	flavors := []struct {
+		name  string
+		opt   spectrallpm.BuildOption
+		boxes []spectrallpm.Box
+	}{
+		{"grid", spectrallpm.WithGrid(16, 16), nil},
+		{"points", spectrallpm.WithPoints(pts), []spectrallpm.Box{
+			{Start: []int{40, 40}, Dims: []int{4, 4}},   // beyond every point
+			{Start: []int{13, 13}, Dims: []int{2, 2}},   // between the clusters
+			{Start: []int{0, 0}, Dims: []int{32, 32}},   // everything
+			{Start: []int{100, 0}, Dims: []int{1, 100}}, // far outside
+		}},
+	}
+	for _, fl := range flavors {
+		t.Run(fl.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sharded.slpm")
+			writeShardedFile(t, path, 4, fl.opt, spectrallpm.WithPageSize(4))
+			oracle := openOracle(t, path)
+			if fl.name == "points" && !boundsOverlap(oracle) {
+				t.Fatal("no two point-set shards overlap; the flavor tests nothing")
+			}
+			boxes := fl.boxes
+			for i := 0; len(boxes) < 16; i++ {
+				boxes = append(boxes, spectrallpm.Box{Start: []int{(5 * i) % 12, (3 * i) % 11}, Dims: []int{2 + i%5, 3 + i%4}})
+			}
+			var bodies []string
+			for _, b := range boxes {
+				bodies = append(bodies, boxBody(b))
+			}
+			batch := `{"boxes":[` + strings.Join(bodies, ",") + `]}`
+			want, err := oracle.QueryBatchContext(context.Background(), boxes)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			workers := make([]*worker, 4)
+			for s := range workers {
+				workers[s] = startWorker(t, path, s, nil)
+			}
+			topo := fullTopology(workers, 4, 1)
+			strict := startRouter(t, topo, nil)
+			partial := startRouter(t, topo, func(c *RouterConfig) {
+				c.Partial = true
+				c.AttemptTimeout = 300 * time.Millisecond
+				c.Retries = 1
+			})
+			handshake(t, strict)
+			handshake(t, partial)
+
+			before := acceptedCounts(t, workers)
+			w := rpost(strict, "/v1/batch", batch)
+			if w.Code != http.StatusOK {
+				t.Fatalf("batch: status %d body %q", w.Code, w.Body)
+			}
+			if exp := server.AppendBatchResponse(nil, want, nil); !slices.Equal(w.Body.Bytes(), exp) {
+				t.Fatalf("batch:\n got %s\nwant %s", w.Body, exp)
+			}
+			for s, n := range acceptedCounts(t, workers) {
+				if d := n - before[s]; d > 1 {
+					t.Fatalf("worker %d accepted %d requests for one batch", s, d)
+				}
+			}
+
+			// Shard 2's only replica dies: every box that touches it loses
+			// its part, the label names exactly shard 2, and the boxes that
+			// miss it answer exactly.
+			const down = 2
+			workers[down].ts.Close()
+			w = rpost(partial, "/v1/batch", batch)
+			if w.Code != http.StatusOK {
+				t.Fatalf("partial batch: status %d body %q", w.Code, w.Body)
+			}
+			var got struct {
+				Stats []struct {
+					Pages     int `json:"pages"`
+					Seeks     int `json:"seeks"`
+					SpanPages int `json:"span_pages"`
+				} `json:"stats"`
+				ShardsMissing []int `json:"shards_missing"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.ShardsMissing, []int{down}) || len(got.Stats) != len(boxes) {
+				t.Fatalf("partial batch: %d stats, shards_missing %v, want %d and [%d]", len(got.Stats), got.ShardsMissing, len(boxes), down)
+			}
+			cs, cd := make([]int, 2), make([]int, 2)
+			touches := func(s int, b spectrallpm.Box) bool {
+				lo, hi, _, _ := oracle.ShardBounds(s)
+				return shard.ClipBox(b.Start, b.Dims, lo, hi, cs, cd)
+			}
+			spread := make([]int, 5) // boxes by number of shards touched
+			missed := 0
+			for i, b := range boxes {
+				n := 0
+				for s := range workers {
+					if touches(s, b) {
+						n++
+					}
+				}
+				spread[n]++
+				if touches(down, b) {
+					continue
+				}
+				missed++
+				if spectrallpm.IOStats(got.Stats[i]) != want[i] {
+					t.Fatalf("box %d misses shard %d but answers %+v, want %+v", i, down, got.Stats[i], want[i])
+				}
+			}
+			if missed == 0 || spread[2]+spread[3]+spread[4] == 0 || fl.name == "points" && spread[0] == 0 {
+				t.Fatalf("boxes by shards touched %v, %d missing shard %d: the batch does not cover the plan's cases", spread, missed, down)
+			}
+			if n := server.ProtoLive(); n != 0 {
+				t.Fatalf("%d protocol scratches leaked", n)
+			}
+		})
+	}
+}
+
+// boundsOverlap reports whether any two shards' bounding boxes intersect.
+func boundsOverlap(sx *spectrallpm.ShardedIndex) bool {
+	for a := 0; a < sx.NumShards(); a++ {
+		for b := a + 1; b < sx.NumShards(); b++ {
+			alo, ahi, _, _ := sx.ShardBounds(a)
+			blo, bhi, _, _ := sx.ShardBounds(b)
+			dims := make([]int, len(alo))
+			for j := range dims {
+				dims[j] = ahi[j] - alo[j] + 1
+			}
+			if shard.ClipBox(alo, dims, blo, bhi, make([]int, len(alo)), make([]int, len(alo))) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// acceptedCounts reads each worker's /stats "accepted" counter.
+func acceptedCounts(t *testing.T, workers []*worker) []int {
+	t.Helper()
+	out := make([]int, len(workers))
+	for s, w := range workers {
+		var st struct {
+			Accepted int `json:"accepted"`
+		}
+		if err := json.Unmarshal(askWorker(t, w, "/stats", ""), &st); err != nil {
+			t.Fatal(err)
+		}
+		out[s] = st.Accepted
+	}
+	return out
 }

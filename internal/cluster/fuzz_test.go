@@ -13,7 +13,7 @@ import (
 // Reply kinds FuzzWorkerReply dispatches on.
 const (
 	replyBox = iota
-	replyPages
+	replyBatch
 	replyRank
 	replyPoint
 	replyKinds
@@ -21,13 +21,16 @@ const (
 
 // FuzzWorkerReply drives the router's trust boundary: every worker reply
 // is parsed and validated against the handshake geometry before it may
-// enter an answer. The data is a box or pages reply frame (answered with
-// the frame Content-Type), or a rank or point JSON body. The seeds are
-// real replies of a 2-shard 8×8 fleet, each also offered as the other
-// shard's reply (cross-wired), plus the torn cases of
-// TestTornReplyRejected. Properties: no panic, and every accepted reply
-// lies inside its shard's rank block (or the block's pages), ascends,
-// and lies inside the shard's bounding box.
+// enter an answer. The data is a box or batch reply frame (answered with
+// the frame Content-Type), or a rank or point JSON body; a batch reply
+// answers the part the router plans for three boxes that straddle the
+// shard cut. The seeds are real replies of a 2-shard 8×8 fleet, each
+// offered to every kind's decoder and as either shard's reply
+// (cross-wired), plus the torn cases of TestTornReplyRejected. Properties: no panic, and every accepted
+// reply lies inside its shard's rank block (or the block's pages),
+// ascends, and lies inside the shard's bounding box; an accepted batch
+// reply also names only boxes that were sent, in order, and holds no more
+// runs than its cap.
 //
 //	go test -run '^$' -fuzz FuzzWorkerReply -fuzztime 10s ./internal/cluster/
 func FuzzWorkerReply(f *testing.F) {
@@ -35,6 +38,14 @@ func FuzzWorkerReply(f *testing.F) {
 	writeShardedFile(f, path, 2, spectrallpm.WithGrid(8, 8), spectrallpm.WithPageSize(4))
 	oracle := openOracle(f, path)
 	g, workers := startFleet(f, path, oracle.NumShards())
+	plan := g.planBatch([]spectrallpm.Box{
+		{Start: []int{0, 0}, Dims: []int{8, 8}},
+		{Start: []int{1, 2}, Dims: []int{6, 5}},
+		{Start: []int{3, 0}, Dims: []int{2, 8}},
+	})
+	if len(plan) != len(workers) {
+		f.Fatalf("batch plan has %d parts for %d shards", len(plan), len(workers))
+	}
 	for s, w := range workers {
 		_, _, off, _ := oracle.ShardBounds(s)
 		coords, err := oracle.Point(off)
@@ -44,26 +55,31 @@ func FuzzWorkerReply(f *testing.F) {
 		cb, _ := json.Marshal(coords)
 		replies := [replyKinds][]byte{
 			replyBox:   askWorker(f, w, "/v1/box", `{"start":[0,0],"dims":[8,8]}`),
-			replyPages: askWorker(f, w, "/v1/pages", `{"start":[1,2],"dims":[6,5]}`),
+			replyBatch: askWorker(f, w, "/v1/batch", string(plan[s].c.body)),
 			replyRank:  askWorker(f, w, "/v1/rank", fmt.Sprintf(`{"coords":%s}`, cb)),
 			replyPoint: askWorker(f, w, "/v1/point", fmt.Sprintf(`{"rank":%d}`, off)),
 		}
-		for kind, data := range replies {
-			f.Add(uint8(kind), uint8(s), data)
-			f.Add(uint8(kind), uint8(1-s), data)
+		// Every real reply is also offered to every other decoder, so the
+		// baseline already covers what a mutated kind byte reaches and the
+		// fuzzer spends its time on the bytes.
+		for _, data := range replies {
+			for kind := range replyKinds {
+				f.Add(uint8(kind), uint8(s), data)
+				f.Add(uint8(kind), uint8(1-s), data)
+			}
 		}
 	}
 	for _, tc := range tornReplies() {
 		kind := replyBox
-		if tc.pages {
-			kind = replyPages
+		if tc.batch {
+			kind = replyBatch
 		}
 		f.Add(uint8(kind), uint8(tc.shard), tc.rp.data)
 	}
 	// Torn against this fleet's geometry: a foreign rank, a run on the
 	// other shard's pages, and a coordinate outside shard 0.
 	f.Add(uint8(replyBox), uint8(0), testFrame(1, 3, 50, 0, 0))
-	f.Add(uint8(replyPages), uint8(0), testFrame(1, 2, 15, 1))
+	f.Add(uint8(replyBatch), uint8(0), testFrame(1, 3, 0, 15, 1))
 	f.Add(uint8(replyBox), uint8(0), testFrame(1, 3, 0, 7, 7))
 	f.Add(uint8(replyRank), uint8(0), []byte(`{"rank":63}`))
 	f.Add(uint8(replyPoint), uint8(0), []byte(`{"coords":[7,7,7]}`))
@@ -85,7 +101,7 @@ func FuzzWorkerReply(f *testing.F) {
 		switch kind % replyKinds {
 		case replyBox:
 			rp := framed(data)
-			if g.decodePart(s, rp, false) != nil {
+			if g.decodeRows(&part{shard: s, rp: rp}) != nil {
 				return
 			}
 			w := 1 + g.d
@@ -100,19 +116,27 @@ func FuzzWorkerReply(f *testing.F) {
 				}
 				prev = row[0]
 			}
-		case replyPages:
+		case replyBatch:
 			rp := framed(data)
-			if g.decodePart(s, rp, true) != nil {
+			p := &part{shard: s, boxes: plan[s].boxes, rows: plan[s].rows, rp: rp}
+			if g.decodeBatch(p) != nil {
 				return
 			}
-			if len(rp.vals)%2 != 0 {
-				t.Fatalf("shard %d accepted %d values, not whole runs", s, len(rp.vals))
+			if len(rp.vals)%3 != 0 || len(rp.vals)/3 > p.rows {
+				t.Fatalf("shard %d accepted %d values, not whole runs within its cap of %d", s, len(rp.vals), p.rows)
 			}
-			first, last, prevEnd := lo/g.rpp, (hi-1)/g.rpp, -1
-			for i := 0; i < len(rp.vals); i += 2 {
-				start, pages := rp.vals[i], rp.vals[i+1]
+			first, last := lo/g.rpp, (hi-1)/g.rpp
+			box, prevEnd := 0, -1
+			for i := 0; i < len(rp.vals); i += 3 {
+				b, start, pages := rp.vals[i], rp.vals[i+1], rp.vals[i+2]
+				if b < box || b >= len(p.boxes) {
+					t.Fatalf("shard %d accepted box index %d after %d (%d sent)", s, b, box, len(p.boxes))
+				}
+				if b != box {
+					box, prevEnd = b, -1
+				}
 				if pages < 1 || start <= prevEnd || hi == lo || start < first || start+pages-1 > last {
-					t.Fatalf("shard %d accepted run [%d,%d] (pages [%d,%d], previous end %d)", s, start, pages, first, last, prevEnd)
+					t.Fatalf("shard %d accepted box %d run [%d,%d] (pages [%d,%d], previous end %d)", s, b, start, pages, first, last, prevEnd)
 				}
 				prevEnd = start + pages - 1
 			}

@@ -1,13 +1,17 @@
 // The router: the cluster's query front end. It owns no index data — it
 // holds the static replica topology, learns the shard geometry from the
 // workers, and answers every query as a Remote: a server.Queryable that
-// plans one part per shard (ClipBox against each shard's bounds), fetches
-// each part over the network (per-attempt timeouts, hedged reads,
-// jittered-backoff retries, health-aware replica rotation), validates
-// every reply, and yields the parts' rows in plan order. The handshake
-// proved that shard order is rank order, so that concatenation is the
-// merge. A server.Server hosts the Remote, so the router shares the
-// daemon's admission, deadlines, encoding, drain and reload.
+// plans at most one part per shard (ClipBox against each shard's
+// bounds), fetches the parts concurrently over the network (per-attempt
+// timeouts, hedged reads, jittered-backoff retries, health-aware replica
+// rotation), validates every reply, and merges. The handshake proved that
+// shard order is rank order, so a box answer is the parts' rows
+// concatenated in plan order, and a page plan is the parts' runs fused in
+// the same order. A batch sends each shard one part holding all of its
+// clipped boxes, so it costs one round trip per shard however many boxes
+// it has; a pages query is a batch of one box. A server.Server hosts the
+// Remote, so the router shares the daemon's admission, deadlines,
+// encoding, drain and reload.
 //
 // Failure semantics, per endpoint class:
 //
@@ -20,8 +24,9 @@
 //   - rank/point (scalar answers): routed to the shard that owns the
 //     coordinates or the rank block; a scalar cannot be partially
 //     correct, so an unreachable owner is always an error.
-//   - box and pages parts travel as reply frames (server.ParseFrame):
-//     fixed-width little-endian values under a CRC32C, read into pooled
+//   - box and batch parts travel as reply frames (server.ParseFrame):
+//     fixed-width little-endian values under a CRC32C — box rows of width
+//     1+d, page runs of width 3 tagged with their box — read into pooled
 //     storage capped at the part's largest honest size, and decoded and
 //     validated in one pass; rank and point answers stay JSON.
 //   - every per-shard reply is validated against the shard's declared
@@ -37,10 +42,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,7 +313,7 @@ func (r *Remote) AddStats(m map[string]any) {
 const maxScalarReply = 64 << 10
 
 // call is one logical exchange with a shard: the path, the request body
-// (nil sends a GET), and, for box and pages parts, whether to ask for a
+// (nil sends a GET), and, for box and batch parts, whether to ask for a
 // reply frame and the cap on its bytes.
 type call struct {
 	path  string
@@ -319,7 +324,7 @@ type call struct {
 
 // reply is one worker answer in pooled storage: the status, the
 // Content-Type, the body and, once a part decodes it, the frame's values
-// (box rows at stride 1+d, or page runs at stride 2). The receiver
+// (box rows at stride 1+d, or batch runs at stride 3). The receiver
 // releases it once nothing reads data or vals any more.
 type reply struct {
 	status int
@@ -570,36 +575,37 @@ func badReply(s int, format string, args ...any) error {
 	return fmt.Errorf("cluster: shard %d reply %s: %w", s, fmt.Sprintf(format, args...), server.ErrUnreachable)
 }
 
-// decodePart accepts shard s's reply to a box (or, with pages, a pages)
-// part only as a 200 carrying a whole reply frame, and decodes the frame
-// into rp.vals. This is the torn-response defense: a worker killed
+// openFrame accepts shard s's reply to a part only as a 200 carrying a
+// whole reply frame. This is the torn-response defense: a worker killed
 // mid-write, a JSON body, or a topology wired to the wrong worker costs
 // availability (the part fails) but can never place a wrong row into an
 // answer.
-func (g *geometry) decodePart(s int, rp *reply, pages bool) error {
+func openFrame(s int, rp *reply) (count, width int, vals []byte, err error) {
 	if rp.status != http.StatusOK {
-		return badReply(s, "status %d: %s", rp.status, bytes.TrimSpace(rp.data))
+		return 0, 0, nil, badReply(s, "status %d: %s", rp.status, bytes.TrimSpace(rp.data))
 	}
 	if rp.ctype != server.FrameContentType {
-		return badReply(s, "Content-Type %q, want %q", rp.ctype, server.FrameContentType)
+		return 0, 0, nil, badReply(s, "Content-Type %q, want %q", rp.ctype, server.FrameContentType)
 	}
-	count, width, vals, err := server.ParseFrame(rp.data)
+	count, width, vals, err = server.ParseFrame(rp.data)
 	if err != nil {
-		return badReply(s, "%v", err)
+		return 0, 0, nil, badReply(s, "%v", err)
 	}
-	if pages {
-		return g.decodeRuns(s, rp, count, width, vals)
-	}
-	return g.decodeRows(s, rp, count, width, vals)
+	return count, width, vals, nil
 }
 
-// decodeRows decodes count box rows of width 1+d ([rank, c0, c1, ...])
-// into rp.vals, checking in the same pass that every rank lies in shard
-// s's rank block and ascends strictly, and that every coordinate lies in
-// the shard's bounding box.
+// decodeRows decodes a box part's reply frame — count rows of width 1+d
+// ([rank, c0, c1, ...]) — into p.rp.vals, checking in the same pass that
+// every rank lies in shard p.shard's rank block and ascends strictly, and
+// that every coordinate lies in the shard's bounding box.
 //
 //lpm:allocfree — the rejection branches excepted.
-func (g *geometry) decodeRows(s int, rp *reply, count, width int, vals []byte) error {
+func (g *geometry) decodeRows(p *part) error {
+	s, rp := p.shard, p.rp
+	count, width, vals, err := openFrame(s, rp)
+	if err != nil {
+		return err
+	}
 	if width != 1+g.d {
 		//lpm:allocok — rejection branch; an honest reply never reaches it.
 		return badReply(s, "row width %d, want %d", width, 1+g.d)
@@ -650,44 +656,79 @@ func (g *geometry) rowFault(s int, row []int, prev int) error {
 	return badReply(s, "rank %d coordinates %v outside shard bounds %v–%v", row[0], row[1:], g.lo[s], g.hi[s])
 }
 
-// decodeRuns decodes count page runs of width 2 ([start, pages]) into
-// rp.vals, checking in the same pass that the runs ascend without
-// overlap and lie inside the pages of shard s's own rank block — a
-// cross-wired reply about another shard's pages must not reach an answer.
+// blockPages returns the first and last page shard s's rank block
+// touches; an empty block has last = first-1, so no run fits inside it.
+func (g *geometry) blockPages(s int) (first, last int) {
+	first = g.offset[s] / g.rpp
+	if g.records[s] == 0 {
+		return first, first - 1
+	}
+	return first, (g.offset[s] + g.records[s] - 1) / g.rpp
+}
+
+// decodeBatch decodes a batch part's reply frame — count rows of width 3
+// ([box index, start page, pages]) — into p.rp.vals, checking in the same
+// pass that there are no more rows than p.rows, that every box index is
+// one of the len(p.boxes) boxes sent and never descends, that each box's
+// runs ascend without overlap, and that every run lies inside the pages
+// of shard p.shard's own rank block — a cross-wired reply about another
+// shard's pages must not reach an answer.
 //
 //lpm:allocfree — the rejection branches excepted.
-func (g *geometry) decodeRuns(s int, rp *reply, count, width int, vals []byte) error {
-	if width != 2 {
-		//lpm:allocok — rejection branch; an honest reply never reaches it.
-		return badReply(s, "run width %d, want 2", width)
+func (g *geometry) decodeBatch(p *part) error {
+	s, rp := p.shard, p.rp
+	count, width, vals, err := openFrame(s, rp)
+	if err != nil {
+		return err
 	}
-	first, last := g.offset[s]/g.rpp, (g.offset[s]+g.records[s]-1)/g.rpp
-	if count > last-first+1 {
+	if width != 3 {
 		//lpm:allocok — rejection branch; an honest reply never reaches it.
-		return badReply(s, "declares %d runs, more than its block's %d pages", count, last-first+1)
+		return badReply(s, "run width %d, want 3", width)
 	}
-	n := 2 * count
+	if count > p.rows {
+		//lpm:allocok — rejection branch; an honest reply never reaches it.
+		return badReply(s, "declares %d runs, more than the %d its boxes can hold", count, p.rows)
+	}
+	first, last := g.blockPages(s)
+	n := 3 * count
 	if cap(rp.vals) < n {
 		rp.vals = make([]int, n)
 	}
 	out := rp.vals[:n]
-	prevEnd := -1
-	for i := 0; i < n; i += 2 {
-		start := int(binary.LittleEndian.Uint64(vals[8*i:]))
-		pages := int(binary.LittleEndian.Uint64(vals[8*i+8:]))
-		if pages < 1 || g.records[s] == 0 || start < first || start > last-pages+1 {
-			//lpm:allocok — rejection branch; an honest reply never reaches it.
-			return badReply(s, "run [%d,%d] outside its block's pages [%d,%d]", start, pages, first, last)
+	box, lowest := 0, first // lowest: the first page the next run may start on
+	for i := 0; i < n; i += 3 {
+		src, row := vals[8*i:8*i+24], out[i:i+3]
+		b := int(binary.LittleEndian.Uint64(src))
+		start := int(binary.LittleEndian.Uint64(src[8:]))
+		pages := int(binary.LittleEndian.Uint64(src[16:]))
+		if b != box {
+			lowest = first
 		}
-		if start <= prevEnd {
-			//lpm:allocok — rejection branch; an honest reply never reaches it.
-			return badReply(s, "runs out of order")
+		// Bounding pages by the block first keeps last-pages+1 from
+		// wrapping; runFault names the failed check off the hot path.
+		if uint(b) >= uint(len(p.boxes)) || b < box || uint(pages-1) >= uint(last-first+1) ||
+			start < lowest || start > last-pages+1 {
+			return g.runFault(p, b, box, start, pages)
 		}
-		prevEnd = start + pages - 1
-		out[i], out[i+1] = start, pages
+		row[0], row[1], row[2] = b, start, pages
+		box, lowest = b, start+pages
 	}
 	rp.vals = out
 	return nil
+}
+
+// runFault reports why run [start, pages] of box b, following a row of
+// box box, is not an honest row of batch part p.
+func (g *geometry) runFault(p *part, b, box, start, pages int) error {
+	s := p.shard
+	first, last := g.blockPages(s)
+	switch {
+	case b < box || b >= len(p.boxes):
+		return badReply(s, "box index %d after %d, of %d boxes sent", b, box, len(p.boxes))
+	case pages < 1 || start < first || start > last-pages+1:
+		return badReply(s, "box %d run [%d,%d] outside its block's pages [%d,%d]", b, start, pages, first, last)
+	}
+	return badReply(s, "box %d runs out of order", b)
 }
 
 // parseRankReply validates a worker's {"rank":N} against the shard's
@@ -725,19 +766,26 @@ func parsePointReply(g *geometry, s int, data []byte) ([]int, error) {
 
 // --- fan-out planning and assembly ---
 
-// boxPart is one shard's slice of a box query: the clipped box to send
-// and the validated reply, whose vals hold box rows [rank, c0, ...] at
-// stride 1+d in ascending global rank order, or page runs [start, pages].
-type boxPart struct {
-	shard       int
-	start, dims []int
-	rp          *reply // nil unless the part succeeded
-	err         error
+// part is one shard's share of a query: the exchange to send and, once
+// fetched, the validated reply — box rows [rank, c0, ...] at stride 1+d
+// in ascending global rank order, or batch runs [box index, start, pages]
+// at stride 3 — or the reason the part failed.
+type part struct {
+	shard int
+	c     call
+	// Batch parts only: the global index of each box sent (local index i
+	// is boxes[i], ascending), the most runs an honest reply can carry,
+	// and the merge cursor into rp.vals.
+	boxes []int
+	rows  int
+	next  int
+	rp    *reply // nil unless the part succeeded
+	err   error
 }
 
 // releaseParts returns the parts' replies to the pool once the answer
 // has been assembled from them.
-func releaseParts(parts []*boxPart) {
+func releaseParts(parts []*part) {
 	for _, p := range parts {
 		if p.rp != nil {
 			p.rp.Release()
@@ -746,19 +794,86 @@ func releaseParts(parts []*boxPart) {
 	}
 }
 
-// planParts clips the box against every shard's bounds, returning one
-// part per intersecting shard, in shard order. Grid shards tile the
-// domain so parts are disjoint; point-set shard boxes may overlap, which
-// is fine — each worker returns only its own points, and rank blocks stay
-// disjoint.
-func (g *geometry) planParts(start, dims []int) []*boxPart {
-	parts := make([]*boxPart, 0, len(g.offset))
+// maxFrameCap bounds every reply-frame cap, so readCapped's cap+1 cannot
+// overflow.
+const maxFrameCap = math.MaxInt - 1
+
+// frameCap is the byte size of a reply frame of rows rows of width
+// values, clamped to maxFrameCap.
+func frameCap(rows, width int) int {
+	const fixed = server.FrameHeaderSize + server.FrameTrailerSize
+	if rows > (maxFrameCap-fixed)/(8*width) {
+		return maxFrameCap
+	}
+	return fixed + rows*width*8
+}
+
+// cells is the number of cells of a box of dims, or limit if that is
+// smaller, computed without overflow.
+func cells(dims []int, limit int) int {
+	n := 1
+	for _, d := range dims {
+		if d > 0 && n > limit/d {
+			return limit
+		}
+		n *= d
+	}
+	return min(n, limit)
+}
+
+// planBox clips the box against every shard's bounds, returning one part
+// per intersecting shard, in shard order: a framed /v1/box of the clipped
+// box, capped at one row per cell and never more than the shard's
+// records. Grid shards tile the domain so parts are disjoint; point-set
+// shard boxes may overlap, which is fine — each worker returns only its
+// own points, and rank blocks stay disjoint.
+func (g *geometry) planBox(start, dims []int) []*part {
+	parts := make([]*part, 0, len(g.offset))
+	cs, cd := make([]int, g.d), make([]int, g.d)
 	for s := range g.offset {
-		cs, cd := make([]int, g.d), make([]int, g.d)
 		if !shard.ClipBox(start, dims, g.lo[s], g.hi[s], cs, cd) {
 			continue
 		}
-		parts = append(parts, &boxPart{shard: s, start: cs, dims: cd})
+		parts = append(parts, &part{shard: s, c: call{
+			path:  "/v1/box",
+			body:  appendBoxBody(nil, cs, cd),
+			frame: true,
+			limit: frameCap(cells(cd, g.records[s]), 1+g.d),
+		}})
+	}
+	return parts
+}
+
+// planBatch clips every box against every shard's bounds and returns one
+// part per shard that any box intersects, in shard order: a framed
+// /v1/batch of the shard's clipped boxes, in box order. Each clipped box
+// can honestly answer at most one run per cell and never more runs than
+// the pages of the shard's rank block; the part's cap is the sum.
+func (g *geometry) planBatch(boxes []spectrallpm.Box) []*part {
+	parts := make([]*part, 0, len(g.offset))
+	cs, cd := make([]int, g.d), make([]int, g.d)
+	for s := range g.offset {
+		first, last := g.blockPages(s)
+		var p *part
+		for i, b := range boxes {
+			if !shard.ClipBox(b.Start, b.Dims, g.lo[s], g.hi[s], cs, cd) {
+				continue
+			}
+			if p == nil {
+				p = &part{shard: s, c: call{path: "/v1/batch", body: []byte(`{"boxes":[`), frame: true}}
+			} else {
+				p.c.body = append(p.c.body, ',')
+			}
+			p.c.body = appendBoxBody(p.c.body, cs, cd)
+			p.boxes = append(p.boxes, i)
+			n := cells(cd, last-first+1)
+			p.rows = min(p.rows, math.MaxInt-n) + n // saturates instead of wrapping
+		}
+		if p != nil {
+			p.c.body = append(p.c.body, "]}"...)
+			p.c.limit = frameCap(p.rows, 3)
+			parts = append(parts, p)
+		}
 	}
 	return parts
 }
@@ -784,67 +899,43 @@ func appendRankBody(b []byte, rank int) []byte {
 	return append(b, '}')
 }
 
-// fanOut plans box b and fetches every part's rows (or, with pages, its
-// page runs) concurrently. Each fetch owns its part exclusively; the
-// caller reads the parts only after fanOut returns, and releases them.
-func (r *Remote) fanOut(ctx context.Context, g *geometry, b spectrallpm.Box, pages bool) []*boxPart {
-	parts := g.planParts(b.Start, b.Dims)
+// fanOut fetches every part concurrently and decodes each reply with
+// decode. Each fetch owns its part exclusively; the caller reads the
+// parts only after fanOut returns, and releases them.
+func (r *Remote) fanOut(ctx context.Context, parts []*part, decode func(*part) error) {
 	if len(parts) == 1 {
-		r.fetchPart(ctx, g, parts[0], pages)
-		return parts
+		r.fetchPart(ctx, parts[0], decode)
+		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(parts))
 	for _, p := range parts {
-		go func(p *boxPart) {
+		go func(p *part) {
 			defer wg.Done()
-			r.fetchPart(ctx, g, p, pages)
+			r.fetchPart(ctx, p, decode)
 		}(p)
 	}
 	wg.Wait()
-	return parts
 }
 
-// fetchPart resolves one shard's slice of a box query into validated
-// rows (/v1/box) or runs (/v1/pages), asking for a reply frame no larger
-// than the part can honestly be.
-func (r *Remote) fetchPart(ctx context.Context, g *geometry, p *boxPart, pages bool) {
-	c := call{path: "/v1/box", body: appendBoxBody(nil, p.start, p.dims), frame: true}
-	width := 1 + g.d
-	if pages {
-		c.path, width = "/v1/pages", 2
-	}
-	c.limit = g.frameCap(p.shard, p.dims, width)
-	rp, err := r.fetch(ctx, p.shard, c)
+// fetchPart resolves one shard's part into a validated reply, or records
+// why it failed.
+func (r *Remote) fetchPart(ctx context.Context, p *part, decode func(*part) error) {
+	rp, err := r.fetch(ctx, p.shard, p.c)
 	if err == nil {
-		if err = g.decodePart(p.shard, rp, pages); err != nil {
+		p.rp = rp
+		if err = decode(p); err != nil {
 			rp.Release()
-		} else {
-			p.rp = rp
+			p.rp = nil
 		}
 	}
 	p.err = err
 }
 
-// frameCap is the size of the largest honest reply frame to shard s's
-// part of a box clipped to dims: one row (or page run) of width values
-// per cell of the part, and never more than the shard's records.
-func (g *geometry) frameCap(s int, dims []int, width int) int {
-	rows := 1
-	for _, d := range dims {
-		if d > 0 && rows > g.records[s]/d {
-			rows = g.records[s]
-			break
-		}
-		rows *= d
-	}
-	return server.FrameHeaderSize + rows*width*8 + server.FrameTrailerSize
-}
-
 // settle accounts for the failed parts of a fan-out. In strict mode any
 // failure fails the query; in partial mode it returns the missing shard
 // ids, ascending because parts are planned in shard order.
-func (r *Remote) settle(parts []*boxPart) ([]int, error) {
+func (r *Remote) settle(parts []*part) ([]int, error) {
 	var missing []int
 	for _, p := range parts {
 		if p.err == nil {
@@ -867,34 +958,38 @@ func (r *Remote) partial(missing []int) error {
 	return &server.PartialError{Missing: missing}
 }
 
-// mergeRuns coalesces per-shard page-run plans into the global plan. The
-// parts come in shard order, each part's runs ascend and lie within its
-// own rank block's pages, and shard order is rank order, so the
-// concatenated runs ascend by start page. Adjacent or overlapping runs
-// fuse (next.Start <= cur.End+1, end extends to the max) — exactly the
-// adjacency rule Pager.RunsAppend uses, so the merged plan matches what
-// the monolithic index would have planned. Shard rank blocks can split
-// mid-page, so two shards may both touch a boundary page; the overlap
-// fuses here rather than double-counting.
-func mergeRuns(dst []spectrallpm.PageRun, parts []*boxPart) []spectrallpm.PageRun {
+// mergeBox writes box i's global page plan into dst[:0]: the runs of
+// every batch part in shard order, coalesced. Each part's runs for a box
+// ascend and lie within its own rank block's pages, and shard order is
+// rank order, so the concatenated runs ascend by start page. Adjacent or
+// overlapping runs fuse (next.Start <= cur.End+1, end extends to the max)
+// — exactly the adjacency rule Pager.RunsAppend uses, so the merged plan
+// matches what the monolithic index would have planned. Shard rank blocks
+// can split mid-page, so two shards may both touch a boundary page; the
+// overlap fuses here rather than double-counting. Each part's cursor
+// moves past box i's rows, so boxes merge in ascending order.
+//
+//lpm:allocfree
+func mergeBox(dst []spectrallpm.PageRun, parts []*part, i int) []spectrallpm.PageRun {
 	dst = dst[:0]
 	for _, p := range parts {
 		if p.rp == nil {
 			continue
 		}
-		for i := 0; i < len(p.rp.vals); i += 2 {
-			r := spectrallpm.PageRun{Start: p.rp.vals[i], Pages: p.rp.vals[i+1]}
+		v := p.rp.vals
+		for ; p.next < len(v) && p.boxes[v[p.next]] == i; p.next += 3 {
+			start, pages := v[p.next+1], v[p.next+2]
 			if n := len(dst); n > 0 {
 				cur := &dst[n-1]
 				curEnd := cur.Start + cur.Pages - 1
-				if r.Start <= curEnd+1 {
-					if end := r.Start + r.Pages - 1; end > curEnd {
+				if start <= curEnd+1 {
+					if end := start + pages - 1; end > curEnd {
 						cur.Pages = end - cur.Start + 1
 					}
 					continue
 				}
 			}
-			dst = append(dst, r)
+			dst = append(dst, spectrallpm.PageRun{Start: start, Pages: pages})
 		}
 	}
 	return dst
@@ -916,20 +1011,6 @@ func statsFromRuns(runs []spectrallpm.PageRun) spectrallpm.IOStats {
 	return st
 }
 
-// mergeMissing unions two sorted shard-id lists without duplicates.
-func mergeMissing(dst, add []int) []int {
-	for _, s := range add {
-		i := sort.SearchInts(dst, s)
-		if i < len(dst) && dst[i] == s {
-			continue
-		}
-		dst = append(dst, 0)
-		copy(dst[i+1:], dst[i:])
-		dst[i] = s
-	}
-	return dst
-}
-
 // --- the Queryable surface ---
 
 // ScanIntoContext yields the box's rows in global rank order: the parts'
@@ -943,7 +1024,8 @@ func (r *Remote) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield f
 	if err := g.validateBox(b.Start, b.Dims); err != nil {
 		return err
 	}
-	parts := r.fanOut(ctx, g, b, false)
+	parts := g.planBox(b.Start, b.Dims)
+	r.fanOut(ctx, parts, g.decodeRows)
 	defer releaseParts(parts)
 	missing, err := r.settle(parts)
 	if err != nil {
@@ -963,7 +1045,8 @@ func (r *Remote) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield f
 	return r.partial(missing)
 }
 
-// PagesIntoContext plans the box's page runs across the shards.
+// PagesIntoContext plans the box's page runs across the shards: a batch
+// of one box, so pages and batch share one reply frame and one merge.
 func (r *Remote) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
 	g, err := r.geometry(ctx)
 	if err != nil {
@@ -972,19 +1055,24 @@ func (r *Remote) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []
 	if err := g.validateBox(b.Start, b.Dims); err != nil {
 		return dst, err
 	}
-	parts := r.fanOut(ctx, g, b, true)
+	parts := g.planBatch([]spectrallpm.Box{b})
+	r.fanOut(ctx, parts, g.decodeBatch)
 	defer releaseParts(parts)
 	missing, err := r.settle(parts)
 	if err != nil {
 		return dst, err
 	}
-	return mergeRuns(dst, parts), r.partial(missing)
+	return mergeBox(dst, parts, 0), r.partial(missing)
 }
 
 // QueryBatchContext derives each box's I/O stats from its cross-shard
 // page plan, validating every box before fanning any out (the monolithic
-// all-or-nothing contract). Stats are not additive across shards, which
-// is why the router plans pages rather than summing worker stats.
+// all-or-nothing contract). Every shard that any box touches gets one
+// part carrying all of its clipped boxes, and the parts are fetched
+// concurrently, so a batch costs one round trip per shard however many
+// boxes it holds. Stats are not additive across shards, which is why the
+// router merges page plans rather than summing worker stats. In partial
+// mode a failed shard is missing from every box it touches.
 func (r *Remote) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error) {
 	g, err := r.geometry(ctx)
 	if err != nil {
@@ -995,19 +1083,18 @@ func (r *Remote) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box)
 			return nil, err
 		}
 	}
+	parts := g.planBatch(boxes)
+	r.fanOut(ctx, parts, g.decodeBatch)
+	defer releaseParts(parts)
+	missing, err := r.settle(parts)
+	if err != nil {
+		return nil, err
+	}
 	stats := make([]spectrallpm.IOStats, len(boxes))
-	var missing []int
-	for i, b := range boxes {
-		parts := r.fanOut(ctx, g, b, true)
-		boxMissing, err := r.settle(parts)
-		if err == nil {
-			missing = mergeMissing(missing, boxMissing)
-			stats[i] = statsFromRuns(mergeRuns(nil, parts))
-		}
-		releaseParts(parts)
-		if err != nil {
-			return nil, err
-		}
+	var runs []spectrallpm.PageRun
+	for i := range boxes {
+		runs = mergeBox(runs, parts, i)
+		stats[i] = statsFromRuns(runs)
 	}
 	return stats, r.partial(missing)
 }

@@ -17,7 +17,6 @@ import (
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
-	"github.com/spectral-lpm/spectrallpm/internal/server/faultinject"
 	"github.com/spectral-lpm/spectrallpm/internal/shard"
 	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
@@ -108,7 +107,6 @@ func (v *ShardView) NumPages() int       { return v.pager.NumPages() }
 // shard", for a point set it means "not here" (the router treats
 // overlapping point-shard boxes as a candidate list and keeps asking).
 func (v *ShardView) Rank(coords ...int) (int, error) {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	if len(coords) != v.d {
 		return 0, fmt.Errorf("cluster: coordinate arity %d, want %d: %w", len(coords), v.d, spectrallpm.ErrDimensionMismatch)
 	}
@@ -147,7 +145,6 @@ func (v *ShardView) Rank(coords ...int) (int, error) {
 // are valid ranks of the whole index: a worker only vouches for its own
 // block, and the router routes each rank to its owner by offset.
 func (v *ShardView) Point(rank int) ([]int, error) {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	if rank < v.offset || rank >= v.offset+v.records {
 		return nil, fmt.Errorf("cluster: rank %d outside shard %d block [%d,%d): %w",
 			rank, v.shardID, v.offset, v.offset+v.records, spectrallpm.ErrRankOutOfRange)
@@ -184,7 +181,6 @@ func (v *ShardView) validateBox(b spectrallpm.Box) error {
 // GLOBAL rank order with GLOBAL coordinates. The coords slice is reused
 // between yields, like every scan in the repo.
 func (v *ShardView) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	if err := v.validateBox(b); err != nil {
 		return err
 	}
@@ -229,7 +225,6 @@ func (v *ShardView) collectRanks(ctx context.Context, b spectrallpm.Box, dst []i
 // GLOBAL pager, so run page numbers agree with the monolithic plan and
 // the router can coalesce runs across workers.
 func (v *ShardView) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	if err := v.validateBox(b); err != nil {
 		return dst, err
 	}
@@ -248,7 +243,6 @@ func (v *ShardView) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst
 // router (stats are not additive), so this is mostly useful for
 // inspecting one worker in isolation.
 func (v *ShardView) QueryIOContext(ctx context.Context, b spectrallpm.Box) (spectrallpm.IOStats, error) {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	if err := v.validateBox(b); err != nil {
 		return spectrallpm.IOStats{}, err
 	}
@@ -265,7 +259,6 @@ func (v *ShardView) QueryIOContext(ctx context.Context, b spectrallpm.Box) (spec
 // QueryBatchContext runs QueryIOContext per box, validating every box
 // before touching any (matching the monolithic all-or-nothing contract).
 func (v *ShardView) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error) {
-	faultinject.Fire(faultinject.PointWorkerReply)
 	for _, b := range boxes {
 		if err := v.validateBox(b); err != nil {
 			return nil, err

@@ -41,7 +41,9 @@ const (
 	// request because the first replica exceeded the hedge threshold —
 	// the assertion point for first-response-wins drills.
 	PointRouterHedge = "router.hedge"
-	// PointWorkerReply fires in a shard worker at the top of every scoped
-	// query — the stall point for kill/hang-a-worker-mid-query drills.
+	// PointWorkerReply fires once per query request a shard worker (or a
+	// single daemon) answers from its own engine, after admission and
+	// decode and before the engine runs; a router fires it never — the
+	// stall point for kill/hang-a-worker-mid-query drills.
 	PointWorkerReply = "worker.reply"
 )

@@ -66,7 +66,7 @@ func framedPartial(err error) error {
 	return err
 }
 
-// replyType is the Content-Type of a box or pages answer: a reply frame
+// replyType is the Content-Type of a box or batch answer: a reply frame
 // when the request asked for one, JSON otherwise.
 func replyType(framed bool) string {
 	if framed {
@@ -167,6 +167,12 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, c
 		s.expired.Add(1)
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 		return
+	}
+	// A worker answers from its own engine, so worker.reply fires here,
+	// once per query request. A router (an Upstream) fires nothing: its
+	// answer is its workers' replies.
+	if _, up := s.cur.Load().q.(Upstream); !up {
+		faultinject.Fire(faultinject.PointWorkerReply)
 	}
 	ps := GetProto()
 	defer ps.Put()
@@ -284,17 +290,9 @@ func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 	var req BoxRequest
-	framed := acceptsFrame(r)
-	s.serveDecoded(w, r, &req, replyType(framed), func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	s.serveDecoded(w, r, &req, jsonType, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		runs, err := q.PagesIntoContext(ctx, spectrallpm.Box{Start: req.Start, Dims: req.Dims}, ps.Runs[:0])
 		ps.Runs = runs
-		if framed {
-			if err := framedPartial(err); err != nil {
-				return err
-			}
-			ps.Buf = appendPagesFrame(ps.Buf, runs)
-			return nil
-		}
 		missing, err := partial(err)
 		if err != nil {
 			return err
@@ -304,15 +302,23 @@ func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleBatch answers a batch's I/O stats as JSON or, asked for a reply
+// frame, every box's page runs in one frame of width 3 (see
+// appendBatchFrame). Either way the batch is all or nothing: a failed box
+// fails the whole answer.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	s.serveDecoded(w, r, &req, jsonType, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	framed := acceptsFrame(r)
+	s.serveDecoded(w, r, &req, replyType(framed), func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		if len(req.Boxes) == 0 {
 			return fmt.Errorf("%w: batch has no boxes", ErrBadRequest)
 		}
 		ps.Boxes = ps.Boxes[:0]
 		for _, b := range req.Boxes {
 			ps.Boxes = append(ps.Boxes, spectrallpm.Box{Start: b.Start, Dims: b.Dims})
+		}
+		if framed {
+			return appendBatchFrame(ctx, q, ps)
 		}
 		stats, err := q.QueryBatchContext(ctx, ps.Boxes)
 		missing, err := partial(err)
@@ -322,6 +328,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		ps.Buf = AppendBatchResponse(ps.Buf, stats, missing)
 		return nil
 	})
+}
+
+// appendBatchFrame appends the reply frame of a batch to ps.Buf: for each
+// box of ps.Boxes in request order, its page runs from PagesIntoContext,
+// one row [box index, start page, pages] per run. A box without runs
+// adds no row.
+func appendBatchFrame(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+	var at int
+	ps.Buf, at = AppendFrameHeader(ps.Buf)
+	count := 0
+	for i, b := range ps.Boxes {
+		runs, err := q.PagesIntoContext(ctx, b, ps.Runs[:0])
+		ps.Runs = runs
+		if err := framedPartial(err); err != nil {
+			return err
+		}
+		for _, run := range runs {
+			ps.Buf = appendRunRow(ps.Buf, i, run)
+		}
+		count += len(runs)
+	}
+	ps.Buf = FinishFrame(ps.Buf, at, count, 3)
+	return nil
 }
 
 // handleHealthz answers 200 {"status":"ok",...} while serving and 503

@@ -1,5 +1,5 @@
 // The protocol layer: request decoding and response encoding, kept apart
-// from admission/deadline/reload mechanics. Box and pages answers have a
+// from admission/deadline/reload mechanics. Box and batch answers have a
 // second, binary encoding — the reply frame below — that the router asks
 // its workers for; every other answer, and every answer to a client that
 // does not ask for a frame, is JSON. Responses are appended to a pooled
@@ -212,15 +212,23 @@ func AppendBatchResponse(b []byte, stats []spectrallpm.IOStats, missing []int) [
 
 // --- the reply frame (the internal worker→router hop) ---
 
-// A reply frame is the fixed-width binary form of a box or pages answer,
+// A reply frame is the fixed-width binary form of a box or batch answer,
 // sent instead of JSON when the request carries Accept: FrameContentType:
 //
 //	magic "SLPMRF1\n" | count u64 | width u64 | count×width int64 | crc32c u32
 //
-// All integers are little-endian. A box row is width = 1+d values (rank,
-// then coordinates); a page run is width = 2 values (start, pages). The
-// CRC32C (Castagnoli, as in the v2 codec) covers every byte before it.
-// A frame has no shards_missing field, so a partial answer is never
+// All integers are little-endian. A frame holds count rows of width
+// values each, in one of two widths:
+//
+//   - a box answer (/v1/box): width 1+d, each row a rank followed by the
+//     point's d coordinates, in ascending rank order;
+//   - a batch answer (/v1/batch): width 3, each row [box index, start
+//     page, pages] — one page run of the request's box at that index —
+//     with the boxes in request order and each box's runs ascending. A box
+//     without runs has no row.
+//
+// The CRC32C (Castagnoli, as in the v2 codec) covers every byte before
+// it. A frame has no shards_missing field, so a partial answer is never
 // framed.
 const (
 	FrameContentType = "application/x-slpm-frame"
@@ -272,14 +280,14 @@ func FinishFrame(b []byte, at, count, width int) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[at:], castagnoli))
 }
 
-// appendPagesFrame encodes page runs as a frame of width 2.
-func appendPagesFrame(b []byte, runs []spectrallpm.PageRun) []byte {
-	b, at := AppendFrameHeader(b)
-	for _, r := range runs {
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Start))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Pages))
-	}
-	return FinishFrame(b, at, len(runs), 2)
+// appendRunRow appends one batch row: the box's index in the request,
+// then one of its page runs.
+//
+//lpm:allocfree
+func appendRunRow(b []byte, box int, r spectrallpm.PageRun) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(box))
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Start))
+	return binary.LittleEndian.AppendUint64(b, uint64(r.Pages))
 }
 
 // ParseFrame checks a whole frame — magic, a count×width that matches its

@@ -185,9 +185,10 @@ func frameVals(t *testing.T, w *httptest.ResponseRecorder) (count, width int, va
 	return count, width, vals
 }
 
-// TestReplyFrameNegotiation pins the Accept negotiation on box and pages:
+// TestReplyFrameNegotiation pins the Accept negotiation on box and batch:
 // with the header the answer is a reply frame carrying exactly the JSON
-// answer's values; without it the JSON is unchanged.
+// answer's values (for a batch, each box's JSON page runs); without it
+// the JSON is unchanged, and /v1/pages answers JSON either way.
 func TestReplyFrameNegotiation(t *testing.T) {
 	s := newEdgeServer(t)
 	const box = `{"start":[1,0],"dims":[2,3]}`
@@ -213,20 +214,36 @@ func TestReplyFrameNegotiation(t *testing.T) {
 		}
 	}
 
-	var runs struct {
-		Runs [][]int `json:"runs"`
+	// A framed batch answers every box's page runs, each row tagged with
+	// its box's index: exactly the runs JSON /v1/pages gives for that box.
+	boxes := []string{box, `{"start":[0,0],"dims":[1,1]}`, `{"start":[0,0],"dims":[4,4]}`}
+	count, width, vals = frameVals(t, postFramed(t, s, "/v1/batch", `{"boxes":[`+strings.Join(boxes, ",")+`]}`))
+	if width != 3 || len(vals) != 3*count {
+		t.Fatalf("batch frame count %d width %d (%d values), want width 3", count, width, len(vals))
 	}
-	if err := json.Unmarshal(postBalanced(t, s, "/v1/pages", box).Body.Bytes(), &runs); err != nil {
-		t.Fatal(err)
-	}
-	count, width, vals = frameVals(t, postFramed(t, s, "/v1/pages", box))
-	if count != len(runs.Runs) || width != 2 {
-		t.Fatalf("pages frame count %d width %d, want %d runs of width 2", count, width, len(runs.Runs))
-	}
-	for i, run := range runs.Runs {
-		if !slices.Equal(vals[2*i:2*i+2], run) {
-			t.Fatalf("pages frame run %d = %v, JSON run %v", i, vals[2*i:2*i+2], run)
+	var got [][]int
+	for i, b := range boxes {
+		var runs struct {
+			Runs [][]int `json:"runs"`
 		}
+		if err := json.Unmarshal(postBalanced(t, s, "/v1/pages", b).Body.Bytes(), &runs); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range runs.Runs {
+			got = append(got, []int{i, run[0], run[1]})
+		}
+	}
+	if len(got) != count {
+		t.Fatalf("batch frame has %d runs, JSON pages %d", count, len(got))
+	}
+	for j, row := range got {
+		if !slices.Equal(vals[3*j:3*j+3], row) {
+			t.Fatalf("batch frame row %d = %v, want %v", j, vals[3*j:3*j+3], row)
+		}
+	}
+	// Only box and batch negotiate a frame; /v1/pages always answers JSON.
+	if ct := postFramed(t, s, "/v1/pages", box).Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("framed /v1/pages: Content-Type %q, want JSON", ct)
 	}
 
 	if live := protoLive.Load(); live != 0 {
@@ -273,8 +290,10 @@ func TestFramedPartialIsBadGateway(t *testing.T) {
 		if w := postBalanced(t, s, path, box); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"shards_missing":[1]`) {
 			t.Fatalf("JSON %s: status %d body %q, want a labeled partial", path, w.Code, w.Body)
 		}
-		if w := postFramed(t, s, path, box); w.Code != http.StatusBadGateway {
-			t.Fatalf("framed %s: status %d body %q, want 502", path, w.Code, w.Body)
+	}
+	for _, tc := range [][2]string{{"/v1/box", box}, {"/v1/batch", `{"boxes":[` + box + `]}`}} {
+		if w := postFramed(t, s, tc[0], tc[1]); w.Code != http.StatusBadGateway {
+			t.Fatalf("framed %s: status %d body %q, want 502", tc[0], w.Code, w.Body)
 		}
 	}
 	if live := protoLive.Load(); live != 0 {
