@@ -695,7 +695,7 @@ func (ix *Index) RankBatch(coords [][]int, dst []int) ([]int, error) {
 
 // indexEngine adapts one Index to the serving core's Engine (see
 // internal/serve): the single-index frame provider over either the grid
-// store's run-merge engine or the point-set R-tree. All serving bodies —
+// store's box engine or the point-set R-tree. All serving bodies —
 // Scan/ScanInto/Pages/PagesInto/QueryIO/QueryBatch — live in the core;
 // the engine contributes only box validation, rank materialization, and
 // rank→coordinate translation.
@@ -724,7 +724,7 @@ func (e indexEngine) CheckBox(b Box) error {
 
 // AppendBoxRanks appends the sorted ranks of the indexed points inside the
 // already-validated box [start, start+dims) to dst. Full-grid indexes
-// delegate to the storage engine's run-merge; point-set indexes probe the
+// delegate to the storage box engine; point-set indexes probe the
 // rank-order packed R-tree (matches stream out in ascending rank because
 // leaves hold consecutive rank runs). sc supplies rectangle and point-id
 // scratch for the probe.

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
+	"github.com/spectral-lpm/spectrallpm/internal/server"
 )
 
 // BenchmarkReplyDecode measures the router's work on one part's reply,
@@ -81,5 +83,85 @@ func BenchmarkReplyDecode(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWorkerServing measures a worker's own share of a router query,
+// without HTTP: one mapped 512² shard of a 4-way 1024² container answering
+// in the global frame. pages-64x64 and scan-64x64 are the worker halves of
+// a pages and a box part; batch-16x32x32 builds the reply frame of one
+// shard's batch part of 16 boxes of 32×32 — every box's page runs, one
+// [box, start page, pages] row per run — as the worker's framed /v1/batch
+// does. Every row runs at 0 allocs/op, tracked in BENCH_query.json.
+func BenchmarkWorkerServing(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "sharded.slpm")
+	writeShardedFile(b, path, 4, spectrallpm.WithGrid(1024, 1024))
+	q, err := OpenShardWorker(path, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer q.Close()
+	v := q.(*ShardView)
+	if v.N() != 512*512 {
+		b.Fatalf("shard holds %d records, want 512²", v.N())
+	}
+	box := func(x, y, w, h int) spectrallpm.Box {
+		return spectrallpm.Box{Start: []int{v.lo[0] + x, v.lo[1] + y}, Dims: []int{w, h}}
+	}
+	ctx := context.Background()
+	big := box(200, 136, 64, 64)
+	var batch []spectrallpm.Box
+	for i := range 16 {
+		batch = append(batch, box(40+96*(i%4), 24+112*(i/4), 32, 32))
+	}
+	runs := make([]spectrallpm.PageRun, 0, 4096)
+	var frame []byte
+	rows := 0
+	yield := func(int, []int) bool { rows++; return true }
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"pages-64x64", func() (err error) {
+			runs, err = q.PagesIntoContext(ctx, big, runs[:0])
+			return err
+		}},
+		{"scan-64x64", func() error {
+			return q.ScanIntoContext(ctx, big, yield)
+		}},
+		{"batch-16x32x32", func() error {
+			var at int
+			frame, at = server.AppendFrameHeader(frame[:0])
+			count := 0
+			for i, bx := range batch {
+				var err error
+				if runs, err = q.PagesIntoContext(ctx, bx, runs[:0]); err != nil {
+					return err
+				}
+				for _, r := range runs {
+					pair := [2]int{r.Start, r.Pages}
+					frame = server.AppendFrameRow(frame, i, pair[:])
+				}
+				count += len(runs)
+			}
+			frame = server.FinishFrame(frame, at, count, 3)
+			return nil
+		}},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); err != nil { // warm the pools and buffers
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := tc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	if rows == 0 || len(runs) == 0 {
+		b.Fatal("the boxes miss the shard")
 	}
 }

@@ -27,6 +27,7 @@ import (
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
 	"github.com/spectral-lpm/spectrallpm/internal/shard"
+	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
 
 // writeShardedFile builds a sharded index and persists its v2 container.
@@ -1076,7 +1077,8 @@ func TestHandshakeRequiresShardOrder(t *testing.T) {
 
 // TestWorkerShardView pins the worker's global-frame contract directly:
 // global ranks, global coordinates, ErrPointNotIndexed outside its
-// bounds, ErrRankOutOfRange outside its block.
+// bounds, ErrRankOutOfRange outside its block, and box, pages, I/O and
+// batch answers equal to the oracle's inside its block.
 func TestWorkerShardView(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sharded.slpm")
 	writeShardedFile(t, path, 2, spectrallpm.WithGrid(8, 8), spectrallpm.WithPageSize(4))
@@ -1124,24 +1126,190 @@ func TestWorkerShardView(t *testing.T) {
 	if _, err := v.Rank(foreign...); err == nil {
 		t.Fatal("foreign point accepted")
 	}
-	// The shard's slice of a global scan matches the oracle's block rows.
-	all := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{8, 8}}
-	var got [][]int
-	err = v.ScanIntoContext(context.Background(), all, func(rank int, coords []int) bool {
-		got = append(got, append([]int{rank}, coords...))
-		return true
-	})
+
+	// The box surface, for every shard of a grid and of an overlapping
+	// point-set container: for boxes inside, straddling and missing the
+	// shard, Scan yields the oracle's rows inside the shard's rank block,
+	// and Pages, QueryIO and QueryBatch equal what the global pager
+	// computes from those rows' ranks. A cancelled context answers
+	// context.Canceled and a closed view ErrIndexClosed.
+	for _, fl := range []struct {
+		name  string
+		opt   spectrallpm.BuildOption
+		extra []spectrallpm.Box
+	}{
+		{"grid", spectrallpm.WithGrid(16, 16), []spectrallpm.Box{
+			{Start: []int{0, 0}, Dims: []int{16, 16}},
+			{Start: []int{6, 6}, Dims: []int{4, 4}},
+			{Start: []int{0, 0}, Dims: []int{1, 1}},
+		}},
+		{"points", spectrallpm.WithPoints(clusterPoints()), []spectrallpm.Box{
+			{Start: []int{0, 0}, Dims: []int{32, 32}},
+			{Start: []int{13, 13}, Dims: []int{2, 2}},
+			{Start: []int{40, 40}, Dims: []int{4, 4}},
+		}},
+	} {
+		t.Run(fl.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sharded.slpm")
+			writeShardedFile(t, path, 4, fl.opt, spectrallpm.WithPageSize(4))
+			oracle := openOracle(t, path)
+			if fl.name == "points" && !boundsOverlap(oracle) {
+				t.Fatal("no two point-set shards overlap; the flavor tests nothing")
+			}
+			pager, err := storage.NewPager(oracle.N(), oracle.RecordsPerPage())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			var inside, straddle, miss int
+			for s := 0; s < oracle.NumShards(); s++ {
+				q, err := OpenShardWorker(path, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer q.Close()
+				lo, hi, off, recs := oracle.ShardBounds(s)
+				first, err := oracle.Point(off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				boxes := append([]spectrallpm.Box{
+					{Start: first, Dims: []int{1, 1}},
+					{Start: lo, Dims: []int{hi[0] - lo[0] + 1, hi[1] - lo[1] + 1}},
+				}, fl.extra...)
+				var wantIO []spectrallpm.IOStats
+				for _, b := range boxes {
+					var want [][]int
+					var ranks []int
+					all := oracleRows(t, oracle, b)
+					for _, row := range all {
+						if row[0] >= off && row[0] < off+recs {
+							want = append(want, row)
+							ranks = append(ranks, row[0])
+						}
+					}
+					switch {
+					case len(want) == 0:
+						miss++
+					case len(want) < len(all):
+						straddle++
+					default:
+						inside++
+					}
+					var got [][]int
+					if err := q.ScanIntoContext(ctx, b, func(rank int, coords []int) bool {
+						got = append(got, append([]int{rank}, coords...))
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("shard %d box %v scan:\n got %v\nwant %v", s, b, got, want)
+					}
+					wantRuns, err := pager.Runs(ranks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs, err := q.PagesIntoContext(ctx, b, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(runs, wantRuns) {
+						t.Fatalf("shard %d box %v pages: got %v want %v", s, b, runs, wantRuns)
+					}
+					io, err := pager.QueryIO(ranks)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := q.QueryIOContext(ctx, b); err != nil || got != io {
+						t.Fatalf("shard %d box %v io: got %+v, %v want %+v", s, b, got, err, io)
+					}
+					wantIO = append(wantIO, io)
+				}
+				gotIO, err := q.QueryBatchContext(ctx, boxes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(gotIO, wantIO) {
+					t.Fatalf("shard %d batch: got %+v want %+v", s, gotIO, wantIO)
+				}
+				checkDeadView(t, cancelled, q, boxes[0], context.Canceled)
+			}
+			if inside == 0 || straddle == 0 || miss == 0 {
+				t.Fatalf("boxes inside/straddling/missing their shard: %d/%d/%d, want each > 0", inside, straddle, miss)
+			}
+			q, err := OpenShardWorker(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkDeadView(t, ctx, q, spectrallpm.Box{Start: []int{0, 0}, Dims: []int{2, 2}}, spectrallpm.ErrIndexClosed)
+		})
+	}
+}
+
+// checkDeadView asserts that every box query of q under ctx fails with
+// want.
+func checkDeadView(t *testing.T, ctx context.Context, q server.Queryable, b spectrallpm.Box, want error) {
+	t.Helper()
+	_, pagesErr := q.PagesIntoContext(ctx, b, nil)
+	_, ioErr := q.QueryIOContext(ctx, b)
+	_, batchErr := q.QueryBatchContext(ctx, []spectrallpm.Box{b})
+	scanErr := q.ScanIntoContext(ctx, b, func(int, []int) bool { return true })
+	for name, err := range map[string]error{"pages": pagesErr, "io": ioErr, "batch": batchErr, "scan": scanErr} {
+		if !errors.Is(err, want) {
+			t.Errorf("%s: err %v, want %v", name, err, want)
+		}
+	}
+}
+
+// TestWorkerZeroAlloc pins the mapped worker's steady-state Scan, Pages
+// and QueryIO at zero heap allocations: the view serves from the same
+// pooled core as a mapped ShardedIndex.
+func TestWorkerZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation makes sync.Pool allocate")
+	}
+	path := filepath.Join(t.TempDir(), "sharded.slpm")
+	writeShardedFile(t, path, 4, spectrallpm.WithGrid(64, 64), spectrallpm.WithPageSize(16))
+	q, err := OpenShardWorker(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]int
-	for _, row := range oracleRows(t, oracle, all) {
-		if row[0] >= off && row[0] < off+recs {
-			want = append(want, row)
+	defer q.Close()
+	ctx := context.Background()
+	box := spectrallpm.Box{Start: []int{20, 20}, Dims: []int{24, 24}} // crosses the shard's cuts
+	n := 0
+	yield := func(int, []int) bool { n++; return true }
+	dst := make([]spectrallpm.PageRun, 0, 256)
+	for name, f := range map[string]func(){
+		"scan": func() {
+			if err := q.ScanIntoContext(ctx, box, yield); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"pages": func() {
+			if dst, err = q.PagesIntoContext(ctx, box, dst[:0]); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"queryio": func() {
+			if _, err := q.QueryIOContext(ctx, box); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		f() // warm the pools
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, allocs)
 		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("shard scan:\n got %v\nwant %v", got, want)
+	if n == 0 {
+		t.Fatal("scan yielded nothing; the box misses the shard")
 	}
 }
 
@@ -1152,20 +1320,7 @@ func TestWorkerShardView(t *testing.T) {
 // shard at all. With one shard's only replica down, -partial labels
 // exactly that shard, and the boxes that miss it keep their exact stats.
 func TestBatchOnePartPerShard(t *testing.T) {
-	// Three clusters of a 32×32 frame, leaving empty space between them.
-	var pts [][]int
-	seen := map[[2]int]bool{}
-	x := uint32(7)
-	for _, c := range [][4]int{{2, 2, 10, 10}, {18, 4, 12, 9}, {6, 18, 12, 12}} {
-		for range 40 {
-			x = x*1664525 + 1013904223
-			p := [2]int{c[0] + int(x>>8)%c[2], c[1] + int(x>>20)%c[3]}
-			if !seen[p] {
-				seen[p] = true
-				pts = append(pts, p[:])
-			}
-		}
-	}
+	pts := clusterPoints()
 	flavors := []struct {
 		name  string
 		opt   spectrallpm.BuildOption
@@ -1283,6 +1438,26 @@ func TestBatchOnePartPerShard(t *testing.T) {
 			}
 		})
 	}
+}
+
+// clusterPoints is a point set of three clusters in a 32×32 frame, with
+// empty space between them; sharded 4 ways, its shard bounding boxes
+// overlap.
+func clusterPoints() [][]int {
+	var pts [][]int
+	seen := map[[2]int]bool{}
+	x := uint32(7)
+	for _, c := range [][4]int{{2, 2, 10, 10}, {18, 4, 12, 9}, {6, 18, 12, 12}} {
+		for range 40 {
+			x = x*1664525 + 1013904223
+			p := [2]int{c[0] + int(x>>8)%c[2], c[1] + int(x>>20)%c[3]}
+			if !seen[p] {
+				seen[p] = true
+				pts = append(pts, p[:])
+			}
+		}
+	}
+	return pts
 }
 
 // boundsOverlap reports whether any two shards' bounding boxes intersect.

@@ -13,22 +13,26 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"sync"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
+	"github.com/spectral-lpm/spectrallpm/internal/serve"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
-	"github.com/spectral-lpm/spectrallpm/internal/shard"
-	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
 
 // ShardView is one shard of a mapped sharded index, presented as a
-// server.Queryable in the global frame. It owns the underlying
-// ShardedIndex mapping (Close closes it), even though it only ever
-// queries one shard — the other shards' pages are mapped but never
-// touched, so the resident cost is one shard plus the container header.
+// server.Queryable in the global frame. Box, pages, I/O and batch queries
+// run on the shard's serving core (ShardedIndex.ShardCore): the same
+// pooled, allocation-free, cancellable bodies as Index and ShardedIndex,
+// validating boxes against the global grid and planning pages from ranks
+// alone. Rank and Point translate through the shard's own index. The view
+// owns the underlying ShardedIndex mapping (Close closes it), even though
+// it only ever queries one shard — the other shards' pages are mapped but
+// never touched, so the resident cost is one shard plus the container
+// header.
 type ShardView struct {
 	sx      *spectrallpm.ShardedIndex
 	ix      *spectrallpm.Index // shard's own index, LOCAL ranks and coords
+	core    serve.Core         // shard's box surface in the GLOBAL frame
 	shardID int
 	points  bool
 	d       int
@@ -38,7 +42,6 @@ type ShardView struct {
 	offset  int   // global rank block is [offset, offset+records)
 	records int
 	totalN  int
-	pager   *storage.Pager // GLOBAL rank space: page runs compose across workers
 }
 
 // NewShardView scopes shard shardID of sx. The view takes ownership of
@@ -48,13 +51,10 @@ func NewShardView(sx *spectrallpm.ShardedIndex, shardID int) (*ShardView, error)
 		return nil, fmt.Errorf("cluster: shard %d outside [0,%d)", shardID, sx.NumShards())
 	}
 	lo, hi, offset, records := sx.ShardBounds(shardID)
-	pager, err := storage.NewPager(sx.N(), sx.RecordsPerPage())
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d pager: %w", shardID, err)
-	}
 	return &ShardView{
 		sx:      sx,
 		ix:      sx.Shard(shardID),
+		core:    sx.ShardCore(shardID),
 		shardID: shardID,
 		points:  sx.PointSet(),
 		d:       sx.D(),
@@ -65,7 +65,6 @@ func NewShardView(sx *spectrallpm.ShardedIndex, shardID int) (*ShardView, error)
 		offset:  offset,
 		records: records,
 		totalN:  sx.N(),
-		pager:   pager,
 	}, nil
 }
 
@@ -99,8 +98,8 @@ func (v *ShardView) TotalN() int { return v.totalN }
 // the router cross-checks every worker reports the same ones.
 func (v *ShardView) D() int              { return v.d }
 func (v *ShardView) Dims() []int         { return append([]int(nil), v.dims...) }
-func (v *ShardView) RecordsPerPage() int { return v.pager.RecordsPerPage() }
-func (v *ShardView) NumPages() int       { return v.pager.NumPages() }
+func (v *ShardView) RecordsPerPage() int { return v.sx.RecordsPerPage() }
+func (v *ShardView) NumPages() int       { return v.sx.NumPages() }
 
 // Rank answers with the GLOBAL rank. Points outside this shard's bounds
 // answer ErrPointNotIndexed — for a grid that means "ask the owning
@@ -159,160 +158,42 @@ func (v *ShardView) Point(rank int) ([]int, error) {
 	return p, nil
 }
 
-// validateBox mirrors the monolithic ShardedIndex's validation over the
-// GLOBAL grid, so a worker rejects exactly the boxes the monolith would
-// — the router relies on this agreement when it passes 4xx through.
-func (v *ShardView) validateBox(b spectrallpm.Box) error {
-	if len(b.Start) != v.d || len(b.Dims) != v.d {
-		return fmt.Errorf("cluster: box arity %d/%d, want %d: %w", len(b.Start), len(b.Dims), v.d, spectrallpm.ErrDimensionMismatch)
-	}
-	if v.points {
-		return nil
-	}
-	for i, st := range b.Start {
-		if b.Dims[i] < 1 || st < 0 || st+b.Dims[i] > v.dims[i] {
-			return fmt.Errorf("cluster: box %v exceeds grid %v: %w", b, v.dims, spectrallpm.ErrDimensionMismatch)
-		}
-	}
-	return nil
-}
-
 // ScanIntoContext yields this shard's slice of the box in ascending
 // GLOBAL rank order with GLOBAL coordinates. The coords slice is reused
 // between yields, like every scan in the repo.
+//
+//lpm:allocfree
 func (v *ShardView) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
-	if err := v.validateBox(b); err != nil {
-		return err
-	}
-	return v.scanClipped(ctx, b, yield)
-}
-
-// scanClipped clips the (already validated) box to the shard bounds,
-// translates it to local coordinates, scans the shard engine, and
-// translates each hit back to the global frame in place.
-func (v *ShardView) scanClipped(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
-	cs := getCoordScratch(v.d)
-	defer cs.put()
-	start, dims := cs.start, cs.dims
-	if !shard.ClipBox(b.Start, b.Dims, v.lo, v.hi, start, dims) {
-		return nil // box misses this shard entirely
-	}
-	for j := range start {
-		start[j] -= v.origin[j]
-	}
-	return v.ix.ScanIntoContext(ctx, spectrallpm.Box{Start: start, Dims: dims},
-		func(rank int, coords []int) bool {
-			// The engine rewrites every entry of coords on each yield, so
-			// translating in place cannot leak into the next row.
-			for j := range coords {
-				coords[j] += v.origin[j]
-			}
-			return yield(rank+v.offset, coords)
-		})
-}
-
-// collectRanks gathers the shard's GLOBAL ranks for a box into dst
-// (ascending — the scan yields in rank order).
-func (v *ShardView) collectRanks(ctx context.Context, b spectrallpm.Box, dst []int) ([]int, error) {
-	err := v.scanClipped(ctx, b, func(rank int, _ []int) bool {
-		dst = append(dst, rank)
-		return true
-	})
-	return dst, err
+	return v.core.ScanIntoCtx(ctx, b, yield)
 }
 
 // PagesIntoContext plans this shard's page runs for a box against the
 // GLOBAL pager, so run page numbers agree with the monolithic plan and
 // the router can coalesce runs across workers.
+//
+//lpm:allocfree
 func (v *ShardView) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
-	if err := v.validateBox(b); err != nil {
-		return dst, err
-	}
-	rs := getRankScratch()
-	defer rs.put()
-	ranks, err := v.collectRanks(ctx, b, rs.ranks[:0])
-	rs.ranks = ranks
-	if err != nil {
-		return dst, err
-	}
-	return v.pager.RunsAppend(dst, ranks)
+	return v.core.PagesIntoCtx(ctx, b, dst)
 }
 
 // QueryIOContext computes this shard's I/O stats for a box in the GLOBAL
 // page space. Note cross-shard seek/span composition happens at the
 // router (stats are not additive), so this is mostly useful for
 // inspecting one worker in isolation.
+//
+//lpm:allocfree
 func (v *ShardView) QueryIOContext(ctx context.Context, b spectrallpm.Box) (spectrallpm.IOStats, error) {
-	if err := v.validateBox(b); err != nil {
-		return spectrallpm.IOStats{}, err
-	}
-	rs := getRankScratch()
-	defer rs.put()
-	ranks, err := v.collectRanks(ctx, b, rs.ranks[:0])
-	rs.ranks = ranks
-	if err != nil {
-		return spectrallpm.IOStats{}, err
-	}
-	return v.pager.QueryIO(ranks)
+	return v.core.QueryIOCtx(ctx, b)
 }
 
-// QueryBatchContext runs QueryIOContext per box, validating every box
-// before touching any (matching the monolithic all-or-nothing contract).
+// QueryBatchContext answers QueryIOContext per box with the monolithic
+// batch contract: the first bad box (lowest index) fails the whole batch.
 func (v *ShardView) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error) {
-	for _, b := range boxes {
-		if err := v.validateBox(b); err != nil {
-			return nil, err
-		}
-	}
-	out := make([]spectrallpm.IOStats, len(boxes))
-	for i, b := range boxes {
-		st, err := v.QueryIOContext(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
-	}
-	return out, nil
+	return v.core.QueryBatchCtx(ctx, boxes)
 }
 
 // Close releases the whole mapped container.
 func (v *ShardView) Close() error { return v.sx.Close() }
-
-// rankScratch pools the rank-gathering buffer the pages/batch paths fill
-// per request, keeping the worker's steady-state serving loop off the
-// allocator like the single-node daemon.
-type rankScratch struct{ ranks []int }
-
-var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
-
-// getRankScratch leases a rank buffer; release with put.
-//
-//lpm:poolget
-func getRankScratch() *rankScratch { return rankScratchPool.Get().(*rankScratch) }
-
-func (rs *rankScratch) put() { rankScratchPool.Put(rs) }
-
-// coordScratch pools the clipped-box start/dims pair scanClipped needs
-// per request.
-type coordScratch struct{ start, dims []int }
-
-var coordScratchPool = sync.Pool{New: func() any { return new(coordScratch) }}
-
-// getCoordScratch leases a start/dims pair of length d; release with put.
-//
-//lpm:poolget
-func getCoordScratch(d int) *coordScratch {
-	cs := coordScratchPool.Get().(*coordScratch)
-	if cap(cs.start) < d {
-		cs.start = make([]int, d)
-		cs.dims = make([]int, d)
-	}
-	cs.start = cs.start[:d]
-	cs.dims = cs.dims[:d]
-	return cs
-}
-
-func (cs *coordScratch) put() { coordScratchPool.Put(cs) }
 
 // WorkerRoutes is the server.Config.Routes hook for worker daemons: it
 // exposes GET /v1/shardinfo, the geometry handshake the router bootstraps
@@ -350,7 +231,7 @@ func WorkerRoutes(s *server.Server, mux *http.ServeMux) {
 		ps.Buf = append(ps.Buf, `,"total_records":`...)
 		ps.Buf = server.AppendInt(ps.Buf, v.totalN)
 		ps.Buf = append(ps.Buf, `,"records_per_page":`...)
-		ps.Buf = server.AppendInt(ps.Buf, v.pager.RecordsPerPage())
+		ps.Buf = server.AppendInt(ps.Buf, v.sx.RecordsPerPage())
 		ps.Buf = append(ps.Buf, '}')
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(ps.Buf)

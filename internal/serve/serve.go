@@ -73,7 +73,7 @@ func NewCore(e Engine, lc *Lifecycle) Core { return Core{eng: e, lc: lc} }
 // obtained-but-never-iterated Scan sequence can never strand scratch.
 type Scratch struct {
 	// Ctx is the request context of the current query, or nil for
-	// uncancellable calls. Engines poll it at chunk boundaries (run merges,
+	// uncancellable calls. Engines poll it at chunk boundaries (row filters,
 	// slab gathers) and record the cancellation in Err rather than
 	// returning partial results as if they were complete.
 	Ctx context.Context

@@ -9,17 +9,18 @@
 //
 //   - Every grid row (a stride-1 run of ids along the last dimension) gets
 //     its ranks presorted at build time, stored as packed rank|column
-//     entries in one flat []uint64. Boxes as wide as the rows answer as a
-//     k-way merge of these presorted slices — no per-query sort, no
-//     allocation (scratch comes from a sync.Pool).
-//   - Narrower boxes gather ranks by direct rank[id] lookup per slab
-//     (graph.Grid.AppendBoxRows), then order them through a span-bounded
-//     bitmap: set one bit per rank, sweep only the words between the
-//     smallest and largest rank seen, and rewrite the gathered region in
-//     sorted order. The sweep costs rank-span/64 word reads — and the rank
-//     span of a box is exactly what a locality-preserving mapping
-//     minimizes, so the better the mapping, the cheaper the query: cost
-//     proportional to the result's run structure, not volume·log(volume).
+//     entries in one flat []uint64. A single-row box nearly as wide as its
+//     row answers by filtering that presorted row by column — no per-query
+//     sort, no allocation (scratch comes from a sync.Pool).
+//   - Every other box (a narrow row, or more than one row) gathers its
+//     ranks by direct rank[id] lookup per slab (graph.Grid.AppendBoxRows),
+//     then orders them through a span-bounded bitmap: set one bit per
+//     rank, sweep only the words between the smallest and largest rank
+//     seen, and rewrite the gathered region in sorted order. The sweep
+//     costs rank-span/64 word reads — and the rank span of a box is exactly
+//     what a locality-preserving mapping minimizes, so the better the
+//     mapping, the cheaper the query: cost proportional to the result's run
+//     structure, not volume·log(volume).
 //   - Results whose span is too wide for the bitmap to pay off (adversarial
 //     permutations) fall back to one in-place sort of the output slice —
 //     still allocation-free, still far cheaper than the naive path.
@@ -64,24 +65,20 @@ func newRankLayout(g *graph.Grid, f Frame) *rankLayout {
 	}
 }
 
-// boxScratch is the pooled per-query workspace: slab cursors and the merge
-// heap, the rank bitmap, plus reusable coordinate and rank buffers for
-// callers that need them. All slices keep their capacity across queries.
-// The bitmap is all-zero between queries (the emit sweep clears every word
-// it reads), so pooled reuse needs no reset pass.
+// boxScratch is the pooled per-query workspace: the slab bases, the rank
+// bitmap, plus reusable coordinate and rank buffers for callers that need
+// them. All slices keep their capacity across queries. The bitmap is
+// all-zero between queries (the emit sweep clears every word it reads), so
+// pooled reuse needs no reset pass.
 type boxScratch struct {
 	bases  []int    // slab base ids
-	pos    []int    // per-slab cursor into rows
-	end    []int    // per-slab row end
-	cur    []uint64 // per-slab current (filtered) entry
-	heap   []int    // merge heap of slab indices, keyed by cur
 	coords []int    // odometer scratch for AppendBoxRows
 	ranks  []int    // rank buffer for Runs/QueryIO callers
 	bits   []uint64 // rank bitmap for the span-bounded emit
 
 	// Cancellation state, set only on the ...Ctx query paths and cleared
 	// before the scratch returns to the pool. The engine polls cancelled at
-	// chunk boundaries — per gathered slab, per merge pop — but NEVER
+	// chunk boundaries — per gathered slab, per filtered row — but NEVER
 	// between setting bitmap bits and sweeping them: an abort there would
 	// strand set bits and break the all-zero pool invariant the bitmap
 	// relies on, silently corrupting a later query.
@@ -90,10 +87,10 @@ type boxScratch struct {
 	budget int   // work units until the next ctx.Err() poll
 }
 
-// cancelCheckInterval is how much chunk-boundary work (slab cells, heap
-// pops, row entries) the engine performs between ctx.Err() polls: large
-// enough that the atomic load inside Err stays off the per-element path,
-// small enough that a dead client stops burning CPU within microseconds.
+// cancelCheckInterval is how much chunk-boundary work (slab cells, row
+// entries) the engine performs between ctx.Err() polls: large enough that
+// the atomic load inside Err stays off the per-element path, small enough
+// that a dead client stops burning CPU within microseconds.
 const cancelCheckInterval = 4096
 
 // cancelled burns cost work units from the poll budget and reports whether
@@ -149,8 +146,7 @@ var boxScratchPool = sync.Pool{New: func() any { return new(boxScratch) }}
 //lpm:ctxaware — both strategies poll sc.cancelled at their chunk boundaries
 //lpm:allocfree — with sufficient dst capacity the whole query is off-heap.
 func (l *rankLayout) appendBoxRanks(dst []int, start, dims []int, sc *boxScratch) []int {
-	d := len(dims)
-	width := dims[d-1]
+	width := dims[len(dims)-1]
 	volume := 1
 	for _, s := range dims {
 		volume *= s
@@ -160,15 +156,43 @@ func (l *rankLayout) appendBoxRanks(dst []int, start, dims []int, sc *boxScratch
 		copy(grown, dst)
 		dst = grown
 	}
-	// Strategy: the merge touches every entry of every intersected row
-	// (filtering by column), costing ~slabs*rowLen + V*log(slabs); the
-	// gather costs ~V plus a span-bounded emit (or a V*log V sort in the
-	// worst case). Prefer the merge only when the box is nearly as wide as
-	// the rows, where filtering waste vanishes.
-	if l.rowLen <= width*bits.Len(uint(volume)) {
-		return l.mergeBoxRanks(dst, start, dims, sc)
+	if l.filtersRow(width, volume) {
+		return l.filterRow(dst, start, width, sc)
 	}
 	return l.gatherBoxRanks(dst, start, dims, sc)
+}
+
+// filtersRow is the engine's one strategy choice. A single-slab box nearly
+// as wide as its row reads the presorted row and filters it by column
+// (~rowLen entries, no ordering pass); every other box gathers, costing ~V
+// plus a span-bounded emit, which beats reading every intersected row
+// whenever there is more than one.
+//
+//lpm:allocfree
+func (l *rankLayout) filtersRow(width, volume int) bool {
+	return volume == width && l.rowLen <= width*bits.Len(uint(volume))
+}
+
+// filterRow appends the ranks of the single-slab box [start, start+width)
+// by filtering its presorted grid row by column: the results stream out in
+// ascending rank order with no sort.
+//
+//lpm:ctxaware — the whole row is billed to the poll budget before the scan
+//lpm:allocfree
+func (l *rankLayout) filterRow(dst, start []int, width int, sc *boxScratch) []int {
+	if sc.cancelled(l.rowLen) {
+		return dst
+	}
+	colLo := uint64(start[len(start)-1])
+	colHi := colLo + uint64(width)
+	rowStart := l.grid.ID(start) / l.rowLen * l.rowLen
+	//lpm:ctxok — the whole row was billed to the poll budget just above
+	for _, e := range l.rows[rowStart : rowStart+l.rowLen] {
+		if c := e & l.colMask; c >= colLo && c < colHi {
+			dst = append(dst, int(e>>l.colBits))
+		}
+	}
+	return dst
 }
 
 // gatherBoxRanks fetches each cell's rank by direct lookup, then orders the
@@ -242,84 +266,6 @@ func (l *rankLayout) gatherBoxRanks(dst []int, start, dims []int, sc *boxScratch
 	return dst
 }
 
-// mergeBoxRanks k-way-merges the presorted per-row rank slices of the box's
-// slabs. Results stream out in ascending rank order with no sort.
-//
-//lpm:ctxaware — polls per heap pop; the single-slab row scan is pre-billed
-//lpm:allocfree
-func (l *rankLayout) mergeBoxRanks(dst []int, start, dims []int, sc *boxScratch) []int {
-	d := len(dims)
-	width := dims[d-1]
-	colLo := uint64(start[d-1])
-	colHi := colLo + uint64(width)
-
-	sc.bases = l.grid.AppendBoxRows(sc.bases[:0], start, dims, sc.odometer(d))
-	k := len(sc.bases)
-	if k == 1 {
-		// Single slab: its ranks are one presorted, filtered row slice.
-		if sc.cancelled(l.rowLen) {
-			return dst
-		}
-		rowStart := sc.bases[0] / l.rowLen * l.rowLen
-		//lpm:ctxok — the whole row was billed to the poll budget just above
-		for _, e := range l.rows[rowStart : rowStart+l.rowLen] {
-			if c := e & l.colMask; c >= colLo && c < colHi {
-				dst = append(dst, int(e>>l.colBits))
-			}
-		}
-		return dst
-	}
-
-	sc.grow(k)
-	heap := sc.heap[:0]
-	for i, base := range sc.bases {
-		rowStart := base / l.rowLen * l.rowLen
-		sc.pos[i] = rowStart
-		sc.end[i] = rowStart + l.rowLen
-		if l.advance(i, colLo, colHi, sc) {
-			heap = append(heap, i)
-			siftUp(heap, len(heap)-1, sc.cur)
-		}
-	}
-	for len(heap) > 0 {
-		if sc.cancelled(1) {
-			sc.heap = heap[:0]
-			return dst
-		}
-		i := heap[0]
-		dst = append(dst, int(sc.cur[i]>>l.colBits))
-		if l.advance(i, colLo, colHi, sc) {
-			siftDown(heap, 0, sc.cur)
-		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-			siftDown(heap, 0, sc.cur)
-		}
-	}
-	sc.heap = heap
-	return dst
-}
-
-// advance moves slab i's cursor to its next entry with column in
-// [colLo, colHi), caching it in sc.cur[i]. Returns false when the slab is
-// exhausted.
-//
-//lpm:allocfree
-func (l *rankLayout) advance(i int, colLo, colHi uint64, sc *boxScratch) bool {
-	pos, end := sc.pos[i], sc.end[i]
-	for pos < end {
-		e := l.rows[pos]
-		pos++
-		if c := e & l.colMask; c >= colLo && c < colHi {
-			sc.pos[i] = pos
-			sc.cur[i] = e
-			return true
-		}
-	}
-	sc.pos[i] = pos
-	return false
-}
-
 // odometer returns the reusable BoxRows scratch, sized to d.
 //
 //lpm:allocfree
@@ -329,56 +275,4 @@ func (sc *boxScratch) odometer(d int) []int {
 	}
 	sc.coords = sc.coords[:d]
 	return sc.coords
-}
-
-// grow sizes the per-slab cursor arrays for k slabs.
-//
-//lpm:allocfree — the makes fire only while the pooled arrays grow.
-func (sc *boxScratch) grow(k int) {
-	if cap(sc.pos) < k {
-		sc.pos = make([]int, k)
-		sc.end = make([]int, k)
-		sc.cur = make([]uint64, k)
-		sc.heap = make([]int, 0, k)
-	}
-	sc.pos = sc.pos[:k]
-	sc.end = sc.end[:k]
-	sc.cur = sc.cur[:k]
-}
-
-// siftUp restores the min-heap property after appending at index i. The
-// heap holds slab indices ordered by their cached current entries.
-//
-//lpm:allocfree
-func siftUp(heap []int, i int, cur []uint64) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if cur[heap[parent]] <= cur[heap[i]] {
-			return
-		}
-		heap[parent], heap[i] = heap[i], heap[parent]
-		i = parent
-	}
-}
-
-// siftDown restores the min-heap property after replacing index i.
-//
-//lpm:allocfree
-func siftDown(heap []int, i int, cur []uint64) {
-	n := len(heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && cur[heap[l]] < cur[heap[smallest]] {
-			smallest = l
-		}
-		if r < n && cur[heap[r]] < cur[heap[smallest]] {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		heap[i], heap[smallest] = heap[smallest], heap[i]
-		i = smallest
-	}
 }

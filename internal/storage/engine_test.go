@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -35,8 +36,9 @@ func randomMapping(t *testing.T, g *graph.Grid, rng *rand.Rand) *order.Mapping {
 }
 
 // TestBoxRanksMatchesOracle drives the engine over random grids, mappings,
-// and boxes — including full-grid boxes, single cells, and skinny boxes that
-// exercise both merge and gather strategies — comparing against the oracle.
+// and boxes — including full-grid boxes, single cells, single-row boxes
+// that take the row filter, and multi-row boxes that take the gather —
+// comparing against the oracle.
 func TestBoxRanksMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -65,7 +67,7 @@ func TestBoxRanksMatchesOracle(t *testing.T) {
 		}
 		box := randomBoxIn(g, rng)
 		if trial%7 == 0 {
-			// Full-grid box: every rank, the widest merge.
+			// Full-grid box: every rank, the widest gather.
 			box = workload.Box{Start: make([]int, d), Dims: append([]int(nil), g.Dims()...)}
 		}
 		want := naiveBoxRanks(m, box)
@@ -168,29 +170,58 @@ func TestRunsAppendUnsorted(t *testing.T) {
 	}
 }
 
-// TestMergeAndGatherAgree pins both strategies against each other on a grid
-// wide enough that box shape selects between them.
-func TestMergeAndGatherAgree(t *testing.T) {
+// TestBoxStrategyBoundaries pins the engine's one strategy choice — row
+// filter for a single-slab box nearly as wide as its row, gather for
+// everything else — and checks every shape on both sides of it against the
+// oracle, including multi-row boxes as wide as their rows and a span wide
+// enough to force the gather's sort fallback.
+func TestBoxStrategyBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := graph.MustGrid(16, 64)
-	m := randomMapping(t, g, rng)
-	st, err := NewStore(m, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, box := range []workload.Box{
-		{Start: []int{2, 30}, Dims: []int{10, 2}},  // skinny: gather path
-		{Start: []int{2, 0}, Dims: []int{10, 64}},  // full-width: merge path
-		{Start: []int{0, 10}, Dims: []int{16, 40}}, // wide partial: merge path
-		{Start: []int{5, 5}, Dims: []int{1, 1}},    // single cell
+	flat := graph.MustGrid(16, 64)
+	cube := graph.MustGrid(4, 6, 8)
+	wide := graph.MustGrid(256, 256)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Grid
+		box    workload.Box
+		filter bool // row filter (true) or gather (false)
+		sorted bool // gather span too wide for the bitmap: sort fallback
+	}{
+		{"row/full-width", flat, workload.Box{Start: []int{3, 0}, Dims: []int{1, 64}}, true, false},
+		{"row/partial", flat, workload.Box{Start: []int{3, 10}, Dims: []int{1, 40}}, true, false},
+		{"row/narrow", flat, workload.Box{Start: []int{3, 10}, Dims: []int{1, 5}}, false, false},
+		{"row/cell", flat, workload.Box{Start: []int{5, 5}, Dims: []int{1, 1}}, false, false},
+		{"rows/skinny", flat, workload.Box{Start: []int{2, 30}, Dims: []int{10, 2}}, false, false},
+		{"rows/full-width", flat, workload.Box{Start: []int{2, 0}, Dims: []int{10, 64}}, false, false},
+		{"rows/wide-partial", flat, workload.Box{Start: []int{0, 10}, Dims: []int{16, 40}}, false, false},
+		{"3d/2x2x8", cube, workload.Box{Start: []int{1, 3, 0}, Dims: []int{2, 2, 8}}, false, false},
+		{"3d/full-grid", cube, workload.Box{Start: []int{0, 0, 0}, Dims: []int{4, 6, 8}}, false, false},
+		{"shuffled/sort-fallback", wide, workload.Box{Start: []int{100, 100}, Dims: []int{2, 2}}, false, true},
 	} {
-		want := naiveBoxRanks(m, box)
-		got, err := st.BoxRanks(box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("box %v: got %d ranks, want %d", box, len(got), len(want))
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			m := randomMapping(t, tc.g, rng)
+			st, err := NewStore(m, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveBoxRanks(m, tc.box)
+			width := tc.box.Dims[len(tc.box.Dims)-1]
+			if got := st.layout.filtersRow(width, len(want)); got != tc.filter {
+				t.Fatalf("filtersRow = %v, want %v", got, tc.filter)
+			}
+			if !tc.filter {
+				v, lo, hi := len(want), want[0]>>6, want[len(want)-1]>>6
+				if got := v >= 2 && hi-lo+1 > v*bits.Len(uint(v)); got != tc.sorted {
+					t.Fatalf("sort fallback = %v, want %v (span %d words, %d ranks)", got, tc.sorted, hi-lo+1, v)
+				}
+			}
+			got, err := st.BoxRanks(tc.box)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("box %v: got %v, want %v", tc.box, got, want)
+			}
+		})
 	}
 }

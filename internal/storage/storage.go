@@ -288,7 +288,7 @@ func (s *Store) AppendValidatedBoxRanks(dst []int, start, dims []int) []int {
 
 // AppendValidatedBoxRanksCtx is AppendValidatedBoxRanks under a request
 // context: the engine polls ctx at its chunk boundaries (per gathered slab,
-// per merge pop — never mid-bitmap) and stops early when the request is
+// per filtered row — never mid-bitmap) and stops early when the request is
 // dead. On a non-nil error the appended region's contents are unspecified
 // and the caller must discard them; dst's backing buffer is still returned
 // so an amortized buffer survives cancellation.

@@ -468,33 +468,18 @@ func boundsContain(lo, hi, coords []int) bool {
 	return true
 }
 
-// validateBox mirrors Index.validateBox over the global grid: full-grid
-// sharded indexes require the box inside the grid with every side at least
-// 1; point-set sharded indexes require only the right arity.
-func (sx *ShardedIndex) validateBox(b Box) error {
-	d := sx.grid.D()
-	if len(b.Start) != d || len(b.Dims) != d {
-		return fmt.Errorf("spectrallpm: box arity %d/%d, want %d: %w", len(b.Start), len(b.Dims), d, ErrDimensionMismatch)
-	}
-	if sx.points {
-		return nil
-	}
-	dims := sx.grid.Dims()
-	for i, st := range b.Start {
-		if b.Dims[i] < 1 || st < 0 || st+b.Dims[i] > dims[i] {
-			return fmt.Errorf("spectrallpm: box %v exceeds grid %v: %w", b, dims, ErrDimensionMismatch)
-		}
-	}
-	return nil
-}
-
 // shardEngine adapts a ShardedIndex to the serving core's Engine (see
 // internal/serve): the composite frame provider that plans a box against
-// the shard bounds and gathers per-shard ranks through the same
-// single-index engine the shards serve with, concatenated in shard order,
-// which is global rank order. The serving bodies live in the core — shard.go keeps only
-// the planning and translation that is genuinely sharding-specific.
-type shardEngine struct{ sx *ShardedIndex }
+// the bounds of the shards [from, to) and gathers per-shard ranks through
+// the same single-index engine the shards serve with, concatenated in
+// shard order, which is global rank order. The monolith plans over every
+// shard; a cluster worker plans over its one shard (see ShardCore). The
+// serving bodies live in the core — shard.go keeps only the planning and
+// translation that is genuinely sharding-specific.
+type shardEngine struct {
+	sx       *ShardedIndex
+	from, to int
+}
 
 // CheckBox mirrors the single-index validation over the global grid:
 // full-grid sharded indexes require the box inside the grid with every
@@ -540,7 +525,7 @@ func (e shardEngine) AppendBoxRanks(dst []int, start, dims []int, sc *serve.Scra
 		sc.CDims = make([]int, d)
 	}
 	sc.CStart, sc.CDims = sc.CStart[:d], sc.CDims[:d]
-	for i := range sx.shards {
+	for i := e.from; i < e.to; i++ {
 		if !shard.ClipBox(start, dims, sx.lo[i], sx.hi[i], sc.CStart, sc.CDims) {
 			continue
 		}
@@ -570,7 +555,7 @@ func (e shardEngine) AppendBoxRanks(dst []int, start, dims []int, sc *serve.Scra
 //lpm:allocfree
 func (e shardEngine) EmitCoords(ranks []int, coords []int, yield func(int, []int) bool) {
 	sx := e.sx
-	cur := 0
+	cur := e.from
 	for _, r := range ranks {
 		for r >= sx.offset[cur+1] {
 			cur++
@@ -594,7 +579,18 @@ func (e shardEngine) Parallelism() int      { return e.sx.par }
 // on every construction path (BuildSharded, ReadSharded, OpenMappedSharded).
 // OpenMappedSharded re-arms it after attaching the shared lifecycle.
 func (sx *ShardedIndex) initCore() {
-	sx.core = serve.NewCore(shardEngine{sx}, sx.lc)
+	sx.core = serve.NewCore(shardEngine{sx, 0, len(sx.shards)}, sx.lc)
+}
+
+// ShardCore returns the serving core of shard i alone, in the GLOBAL frame:
+// boxes are validated against the global grid exactly as the whole index
+// validates them, then clipped to shard i's bounds, and answers carry
+// global ranks, global coordinates and page runs of the global pager — the
+// shard's contribution to the whole index's answer. The core shares the
+// index's lifecycle, so it answers ErrIndexClosed once the index closes.
+// Cluster workers serve their shard through it.
+func (sx *ShardedIndex) ShardCore(i int) serve.Core {
+	return serve.NewCore(shardEngine{sx, i, i + 1}, sx.lc)
 }
 
 // Close releases the mapped byte region backing a sharded index opened
