@@ -21,6 +21,7 @@ import (
 	"github.com/spectral-lpm/spectrallpm/internal/eigen"
 	"github.com/spectral-lpm/spectrallpm/internal/experiments"
 	"github.com/spectral-lpm/spectrallpm/internal/graph"
+	"github.com/spectral-lpm/spectrallpm/internal/order"
 	"github.com/spectral-lpm/spectrallpm/internal/sfc"
 	"github.com/spectral-lpm/spectrallpm/internal/workload"
 )
@@ -182,73 +183,38 @@ func BenchmarkExtIO(b *testing.B) {
 	}
 }
 
-// BenchmarkFiedlerSolvers compares the eigensolver implementations on grid
-// Laplacians of growing size (the DESIGN.md EXT3 ablation). Each solver
-// runs only at the sizes it is appropriate for: dense Jacobi up to n=256,
-// plain Lanczos up to n=1024 (its fixed Krylov budget cannot resolve the
-// shrinking spectral gap of larger grids — exactly why deflated inverse
-// power with CG is the production path), inverse power everywhere.
+// BenchmarkFiedlerSolvers compares the block eigensolver (LOBPCG over the
+// heavy-edge hierarchy) with the dense Jacobi oracle on square-grid
+// Laplacians (the DESIGN.md EXT3 ablation). Dense Jacobi runs only at
+// n = 256, where it is the small-graph path; the block solver runs at
+// every size. The reported metric is λ₂ relative to the closed form
+// 2(1 − cos(π/side)), so a value of ~1.0 confirms the answer while the
+// ns/op column shows the cost. The 256x256 and 512x512 rows are skipped
+// under -short.
 func BenchmarkFiedlerSolvers(b *testing.B) {
-	for _, side := range []int{16, 32, 64} {
-		g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
-		op := eigen.CSROperator{M: g.Laplacian()}
-		methods := []eigen.Method{eigen.MethodInversePower}
-		if side <= 32 {
-			methods = append(methods, eigen.MethodLanczos)
+	for _, side := range []int{16, 64, 128, 256, 512} {
+		if side > 128 && testing.Short() {
+			continue
 		}
+		g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
+		closed := 2 * (1 - math.Cos(math.Pi/float64(side)))
+		methods := []eigen.Method{eigen.MethodExact}
 		if side <= 16 {
 			methods = append(methods, eigen.MethodDense)
 		}
 		for _, m := range methods {
-			b.Run(fmt.Sprintf("%s/n=%d", m, side*side), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%dx%d", m, side, side), func(b *testing.B) {
+				var lambda float64
 				for i := 0; i < b.N; i++ {
-					if _, err := eigen.Fiedler(op, eigen.Options{Method: m, Seed: 1}); err != nil {
+					res, err := eigen.Fiedler(g, eigen.Options{Method: m, Seed: 1})
+					if err != nil {
 						b.Fatal(err)
 					}
+					lambda = res.Value
 				}
+				b.ReportMetric(lambda/closed, "lambda2/closed-form")
 			})
 		}
-	}
-}
-
-// BenchmarkMultilevelVsExact compares the multilevel Fiedler solver
-// (heavy-edge-matching coarsening + warm-started refinement) against the
-// exact deflated inverse-power path on large grid Laplacians — the
-// scalability claim of the multilevel work. Both solve to the same residual
-// tolerance; the reported metric is λ₂ relative to the closed form
-// 2(1 − cos(π/side)), so a value of ~1.0 confirms the answer while the
-// ns/op column shows the wall-clock gap. The exact solver at 512x512 runs
-// minutes per solve; use -bench 'MultilevelVsExact/multilevel' to skip it.
-func BenchmarkMultilevelVsExact(b *testing.B) {
-	if testing.Short() {
-		b.Skip("multilevel-vs-exact runs minutes per solve; skipped under -short")
-	}
-	for _, side := range []int{128, 256, 512} {
-		g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
-		closed := 2 * (1 - math.Cos(math.Pi/float64(side)))
-		b.Run(fmt.Sprintf("multilevel/%dx%d", side, side), func(b *testing.B) {
-			var lambda float64
-			for i := 0; i < b.N; i++ {
-				res, err := eigen.MultilevelFiedler(g, eigen.Options{Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lambda = res.Value
-			}
-			b.ReportMetric(lambda/closed, "lambda2/closed-form")
-		})
-		b.Run(fmt.Sprintf("exact/%dx%d", side, side), func(b *testing.B) {
-			op := eigen.CSROperator{M: g.Laplacian()}
-			var lambda float64
-			for i := 0; i < b.N; i++ {
-				res, err := eigen.Fiedler(op, eigen.Options{Method: eigen.MethodExact, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				lambda = res.Value
-			}
-			b.ReportMetric(lambda/closed, "lambda2/closed-form")
-		})
 	}
 }
 
@@ -257,9 +223,9 @@ func BenchmarkMultilevelVsExact(b *testing.B) {
 func BenchmarkSpectralOrder(b *testing.B) {
 	for _, side := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("grid%dx%d", side, side), func(b *testing.B) {
-			grid := spectrallpm.MustGrid(side, side)
+			g := spectrallpm.GridGraph(spectrallpm.MustGrid(side, side), spectrallpm.Orthogonal)
 			for i := 0; i < b.N; i++ {
-				if _, err := spectrallpm.NewMapping("spectral", grid, spectrallpm.SpectralConfig{}); err != nil {
+				if _, err := spectrallpm.SpectralOrder(g, spectrallpm.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -287,7 +253,7 @@ func BenchmarkDegeneracyPolicy(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := spectrallpm.MappingFromRanks("x", grid, res.Rank)
+				m, err := order.FromRanks("x", grid, res.Rank)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -349,11 +315,7 @@ func BenchmarkCurveIndex(b *testing.B) {
 
 // BenchmarkPairwiseMetric measures the exact all-pairs locality metric.
 func BenchmarkPairwiseMetric(b *testing.B) {
-	grid := spectrallpm.MustGrid(16, 16)
-	m, err := spectrallpm.NewMapping("hilbert", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := buildMapping(b, "hilbert", 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		spectrallpm.PairwiseByManhattan(m)
@@ -363,11 +325,7 @@ func BenchmarkPairwiseMetric(b *testing.B) {
 // BenchmarkPartialRangeSpan measures the sliding-window partial-query
 // evaluator that makes Figure 6 affordable.
 func BenchmarkPartialRangeSpan(b *testing.B) {
-	grid := spectrallpm.MustGrid(6, 6, 6, 6)
-	m, err := spectrallpm.NewMapping("hilbert", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := buildMapping(b, "hilbert", 6, 6, 6, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := spectrallpm.PartialRangeSpan(m, 0.08, 0); err != nil {
@@ -637,25 +595,25 @@ func BenchmarkShardedServing(b *testing.B) {
 }
 
 // BenchmarkShardedBuild is the acceptance-size build comparison: one
-// monolithic multilevel EIGENSOLVE of a 512x512 grid (the method is forced,
+// monolithic block-solver EIGENSOLVE of a 512x512 grid (the method is forced,
 // so the closed-form fast path stays out of the way) versus the 16-shard
 // sharded build of the same grid. Since the closed-form engine landed, the
 // sharded row's per-shard builds are analytic too — the row now measures
 // plan + analytic builds + assembly rather than the historical one-shared-
 // solve path; BenchmarkClosedFormBuild carries the unsharded analytic rows.
-// Skipped under -short — the monolithic solve runs minutes; the committed
+// Skipped under -short — the monolithic solve runs seconds; the committed
 // BENCH_query.json snapshot carries the full-size rows.
 func BenchmarkShardedBuild(b *testing.B) {
 	if testing.Short() {
-		b.Skip("512x512 builds run minutes per solve; skipped under -short")
+		b.Skip("512x512 builds run seconds per solve; skipped under -short")
 	}
 	const side = 512
 	ctx := context.Background()
-	b.Run("monolithic-multilevel/512x512", func(b *testing.B) {
+	b.Run("monolithic-block/512x512", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := spectrallpm.Build(ctx,
 				spectrallpm.WithGrid(side, side),
-				spectrallpm.WithSolverMethod(spectrallpm.MethodMultilevel),
+				spectrallpm.WithSolverMethod(spectrallpm.MethodExact),
 				spectrallpm.WithSeed(1)); err != nil {
 				b.Fatal(err)
 			}
@@ -675,8 +633,8 @@ func BenchmarkShardedBuild(b *testing.B) {
 // BenchmarkClosedFormBuild measures the analytic default-grid build — the
 // automatic fast path that computes the paper's spectral order with zero
 // eigensolves. Compare against BenchmarkShardedBuild's
-// monolithic-multilevel row, which forces the same 512x512 grid through
-// the multilevel eigensolver: the closed form is three to four orders of
+// monolithic-block row, which forces the same 512x512 grid through the
+// block eigensolver: the closed form is one to two orders of
 // magnitude faster. It runs at full benchtime even under -short — each
 // build is milliseconds, which is the point.
 func BenchmarkClosedFormBuild(b *testing.B) {

@@ -71,7 +71,7 @@ func TestClosedFormAppliesOnlyToDefaultBuilds(t *testing.T) {
 		"connectivity": spectrallpm.WithConnectivity(spectrallpm.Diagonal),
 		"weights":      spectrallpm.WithEdgeWeights(func(u, v int) float64 { return 2 }),
 		"affinity":     spectrallpm.WithAffinity(spectrallpm.AffinityEdge{U: 0, V: 23, Weight: 3}),
-		"method":       spectrallpm.WithSolverMethod(spectrallpm.MethodInversePower),
+		"method":       spectrallpm.WithSolverMethod(spectrallpm.MethodExact),
 		"degeneracy":   spectrallpm.WithDegeneracy(spectrallpm.DegeneracyRaw),
 		"tolerance":    spectrallpm.WithSolver(spectrallpm.SolverOptions{Tol: 1e-7}),
 	}

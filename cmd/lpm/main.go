@@ -44,7 +44,7 @@ func main() {
 		conn     = flag.Int("conn", 4, "grid connectivity for spectral: 4 (orthogonal) or 8 (diagonal)")
 		format   = flag.String("format", "text", "output format: text|csv|json")
 		seed     = flag.Int64("seed", 0, "eigensolver seed")
-		solver   = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|lanczos|dense")
+		solver   = flag.String("solver", "auto", "eigensolver: auto|exact|dense")
 		pageSize = flag.Int("pagesize", spectrallpm.DefaultRecordsPerPage, "records per storage page")
 		save     = flag.String("save", "", "write the built index to this file")
 		saveFmt  = flag.String("saveformat", "v2", "index file format for -save: v2 (mmap-able binary) or v1 (portable JSON); -load auto-detects")

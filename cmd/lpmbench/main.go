@@ -38,7 +38,7 @@ func main() {
 		fig6side  = flag.Int("fig6-side", 0, "override Figure 6 grid side (default 6)")
 		fig6dims  = flag.Int("fig6-dims", 0, "override Figure 6 dimensionality (default 4)")
 		seed      = flag.Int64("seed", 0, "eigensolver seed")
-		solver    = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|lanczos|dense")
+		solver    = flag.String("solver", "auto", "eigensolver: auto|exact|dense")
 		parallel  = flag.Int("parallel", 0, "sparse-kernel goroutines (0 = GOMAXPROCS, 1 = serial)")
 		serveSide = flag.Int("serve-side", 32, "serve experiment grid side")
 		serveQ    = flag.Int("serve-q", 4, "serve experiment query side")

@@ -16,7 +16,7 @@ var (
 	ErrUnknownMapping = errs.ErrUnknownMapping
 	// ErrNotPermutation reports a rank slice that is not a permutation of
 	// 0..N-1 — a duplicate, a hole, or an out-of-range value — passed to
-	// WithRanks, MappingFromRanks, or found in a serialized index.
+	// WithRanks or found in a serialized index.
 	ErrNotPermutation = errs.ErrNotPermutation
 	// ErrDimensionMismatch reports coordinates, boxes, or slices whose
 	// arity or extent does not fit the index's grid.

@@ -388,7 +388,7 @@ func closedFormApplies(cfg *buildConfig) bool {
 		len(cfg.affinity) == 0 &&
 		cfg.degeneracy == core.DegeneracyBalanced &&
 		s.Method == eigen.MethodAuto &&
-		s.Tol == 0 && s.MaxIter == 0 && s.DenseCutoff == 0 && s.MultilevelCutoff == 0 &&
+		s.Tol == 0 && s.MaxIter == 0 && s.DenseCutoff == 0 &&
 		analytic.Applicable(cfg.grid)
 }
 

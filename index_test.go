@@ -26,8 +26,9 @@ func TestBuildGridSpectral(t *testing.T) {
 	if l2 := ix.Lambda2(); len(l2) != 1 || l2[0] <= 0 {
 		t.Fatalf("lambda2 = %v", l2)
 	}
-	// The index agrees with the deprecated free-function path.
-	m, err := spectrallpm.SpectralMapping(spectrallpm.MustGrid(8, 8), spectrallpm.SpectralConfig{})
+	// The index (closed form) agrees with the graph-level solver path.
+	g := spectrallpm.GridGraph(spectrallpm.MustGrid(8, 8), spectrallpm.Orthogonal)
+	res, err := spectrallpm.SpectralOrder(g, spectrallpm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +38,8 @@ func TestBuildGridSpectral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r != m.Rank(id) {
-			t.Fatalf("vertex %d: index rank %d, mapping rank %d", id, r, m.Rank(id))
+		if r != res.Rank[id] {
+			t.Fatalf("vertex %d: index rank %d, solver rank %d", id, r, res.Rank[id])
 		}
 	}
 }

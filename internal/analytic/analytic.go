@@ -19,7 +19,7 @@
 //   - Tied longest axes give a degenerate eigenspace with a fully analytic
 //     basis; the DegeneracyBalanced quartic mixing runs over that basis
 //     through the same basis-independent engine (core.MixBalanced) the
-//     eigensolver path uses — no EigenspaceProbe, no solve. The quartic
+//     eigensolver path uses — no eigensolve at all. The quartic
 //     objective itself collapses to the closed form Σ_a c_a⁴·S with one
 //     O(M) coefficient, so each descent step is O(k).
 //   - Ordering runs through core.OrderByValues (the same snapping,
@@ -48,8 +48,8 @@ import (
 	"github.com/spectral-lpm/spectrallpm/internal/graph"
 )
 
-// maxMixAxes mirrors the eigensolver path's probed-multiplicity cap (core's
-// maxProbedMultiplicity): the solver mixes at most 8 eigenspace members, so
+// maxMixAxes mirrors the eigensolver's λ₂ cluster cap (eigen's
+// maxMultiplicity): the solver mixes at most 8 eigenspace members, so
 // a grid with more than 8 tied longest axes falls back to the solver rather
 // than mix a larger basis than the solver would.
 const maxMixAxes = 8

@@ -48,9 +48,10 @@ func TestGridOrderMatchesSolver(t *testing.T) {
 	}
 }
 
-// TestGridOrderInversePowerOracle pins the closed form against the sparse
-// production solver (above the dense cutoff), not just dense Jacobi.
-func TestGridOrderInversePowerOracle(t *testing.T) {
+// TestGridOrderBlockSolverOracle pins the closed form against the sparse
+// production solver (the block solver, above the dense cutoff), not just
+// dense Jacobi.
+func TestGridOrderBlockSolverOracle(t *testing.T) {
 	for _, dims := range [][]int{{20, 20}, {25, 13}, {7, 7, 7}} {
 		grid := graph.MustGrid(dims...)
 		got, err := GridOrder(grid, 1)
@@ -59,14 +60,14 @@ func TestGridOrderInversePowerOracle(t *testing.T) {
 		}
 		g := graph.GridGraph(grid, graph.Orthogonal)
 		want, err := core.SpectralOrder(g, core.Options{
-			Solver: eigen.Options{Method: eigen.MethodInversePower, Seed: 1},
+			Solver: eigen.Options{Method: eigen.MethodExact, Seed: 1},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := range want.Order {
 			if got.Order[r] != want.Order[r] {
-				t.Fatalf("dims %v: rank %d holds %d analytically, %d by inverse power",
+				t.Fatalf("dims %v: rank %d holds %d analytically, %d by the block solver",
 					dims, r, got.Order[r], want.Order[r])
 			}
 		}

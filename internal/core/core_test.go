@@ -234,11 +234,11 @@ func TestSpectralOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpectralOrderLargeGridInversePower(t *testing.T) {
-	// Force the sparse production path on a grid large enough to skip the
-	// dense cutoff.
+func TestSpectralOrderLargeGridBlockSolver(t *testing.T) {
+	// Force the iterative production path (the block solver) on a grid
+	// large enough to skip the dense cutoff.
 	g := graph.GridGraph(graph.MustGrid(20, 20), graph.Orthogonal)
-	res, err := SpectralOrder(g, Options{Solver: eigen.Options{Method: eigen.MethodInversePower, Seed: 3}})
+	res, err := SpectralOrder(g, Options{Solver: eigen.Options{Method: eigen.MethodExact, Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"github.com/spectral-lpm/spectrallpm/internal/eigen"
 	"github.com/spectral-lpm/spectrallpm/internal/graph"
-	"github.com/spectral-lpm/spectrallpm/internal/la"
 )
 
 // DegeneracyPolicy selects how SpectralOrder resolves a degenerate λ₂
@@ -34,129 +31,21 @@ const (
 	DegeneracyRaw
 )
 
-// degeneracyRelTol is the relative eigenvalue gap below which two
-// eigenvalues are treated as one degenerate cluster.
-const degeneracyRelTol = 1e-6
-
-// maxProbedMultiplicity caps how many eigenpairs the degeneracy probe
-// computes; hypercubic grids in d dimensions have multiplicity d, so 8
-// covers every practical case.
-const maxProbedMultiplicity = 8
-
-// multilevelDegenRelTol is the relative eigenvalue slack of the multilevel
-// path's lightweight degeneracy probe. It is much looser than
-// degeneracyRelTol because the probe's Rayleigh quotients come from a few
-// inverse-power steps, not a converged eigensolve; mixing in a direction
-// whose eigenvalue is within 0.1% of λ₂ changes the relaxation objective by
-// at most that factor, while missing a true eigenspace member costs the
-// axis-aligned unfairness the balanced policy exists to prevent.
-const multilevelDegenRelTol = 1e-3
-
-// probeIters bounds the inverse-power steps per probed eigenspace member on
-// the multilevel path; each step is one CG solve, so the whole probe stays
-// within a small multiple of the Fiedler solve itself. A random start needs
-// roughly this many λ₂/λ₄ contractions before its Rayleigh quotient is
-// within multilevelDegenRelTol of λ₂ on a degenerate grid.
-const probeIters = 12
-
 // resolveFiedler returns the Fiedler value and the eigenspace-resolved
-// assignment vector for a connected graph, honoring the policy.
-//
-// When the solver options resolve to the multilevel method (explicitly, or
-// via MethodAuto on a graph at or above MultilevelCutoff), the coarsen-
-// prolong-refine driver runs instead of the single-level solvers. The
-// balanced policy is still honored, but through a cheaper eigenspace probe:
-// instead of SmallestK (several extra full eigensolves — exactly what the
-// multilevel path exists to avoid), a handful of deflated inverse-power
-// steps recover additional λ₂-eigenspace members, and the existing quartic
-// minimizer mixes them. On a square grid the raw multilevel vector is often
-// axis-aligned (Sweep-like, maximally unfair between dimensions); the probe
-// restores the balanced diagonal mix at roughly 2x the solve cost.
+// assignment vector for a connected graph, honoring the policy. One block
+// solve returns λ₂ with an orthonormal basis of its cluster (eigenvalues
+// within the solver's degeneracy tolerance of λ₂); the balanced policy
+// mixes a cluster of two or more members with the quartic minimizer, and
+// DegeneracyRaw keeps the first Ritz vector.
 func resolveFiedler(g *graph.Graph, opt Options) (float64, []float64, error) {
-	if opt.Solver.Resolve(g.N(), true) == eigen.MethodMultilevel {
-		// Assembled once and shared with the solver and the probe: CSR
-		// assembly sorts every nonzero, which is not free at this scale.
-		lap := g.Laplacian()
-		fr, err := eigen.MultilevelFiedlerWithLaplacian(g, lap, opt.Solver)
-		if err != nil {
-			return 0, nil, err
-		}
-		if opt.Degeneracy == DegeneracyRaw {
-			return fr.Value, fr.Vector, nil
-		}
-		basis := multilevelEigenspace(g, lap, fr, opt)
-		if len(basis) <= 1 {
-			return fr.Value, fr.Vector, nil
-		}
-		return fr.Value, minimizeQuartic(g, basis, opt.Solver.Seed), nil
-	}
-	op := eigen.CSROperator{M: g.Laplacian(), Workers: opt.Solver.Parallelism}
-	fr, err := eigen.Fiedler(op, opt.Solver)
+	fr, err := eigen.Fiedler(g, opt.Solver)
 	if err != nil {
 		return 0, nil, err
 	}
-	if opt.Degeneracy == DegeneracyRaw {
+	if opt.Degeneracy == DegeneracyRaw || len(fr.Space) <= 1 {
 		return fr.Value, fr.Vector, nil
 	}
-	basis, err := fiedlerEigenspace(op, g.N(), fr.Value, opt)
-	if err != nil || len(basis) <= 1 {
-		// Simple eigenvalue (or probe failed — fall back to the plain
-		// vector, which is always a valid answer).
-		return fr.Value, fr.Vector, nil
-	}
-	v := minimizeQuartic(g, basis, opt.Solver.Seed)
-	return fr.Value, v, nil
-}
-
-// multilevelEigenspace grows an orthonormal basis of the (near-)degenerate
-// λ₂ eigenspace around a multilevel Fiedler vector, using cheap inverse-
-// power probes (eigen.EigenspaceProbe) instead of full eigensolves. Probing
-// stops at the first member whose Rayleigh quotient separates from λ₂, on
-// any probe error (the Fiedler vector alone is always a valid answer), or
-// at the multiplicity cap.
-func multilevelEigenspace(g *graph.Graph, lap *la.CSR, fr eigen.Result, opt Options) [][]float64 {
-	op := eigen.CSROperator{M: lap, Workers: opt.Solver.Parallelism}
-	basis := [][]float64{fr.Vector}
-	deflate := [][]float64{la.UnitOnes(g.N()), fr.Vector}
-	limit := fr.Value * (1 + multilevelDegenRelTol)
-	popt := opt.Solver
-	for len(basis) < maxProbedMultiplicity {
-		popt.Seed += 7919 // distinct start per probed member
-		v, rq, err := eigen.EigenspaceProbe(op, popt, deflate, probeIters, limit)
-		if err != nil || rq > limit {
-			break
-		}
-		basis = append(basis, v)
-		deflate = append(deflate, v)
-	}
-	return basis
-}
-
-// fiedlerEigenspace probes for eigenvalues clustered at λ₂ and returns an
-// orthonormal basis of the cluster's eigenspace.
-func fiedlerEigenspace(op eigen.Operator, n int, lambda2 float64, opt Options) ([][]float64, error) {
-	k := 2
-	for {
-		if k > n-1 {
-			k = n - 1
-		}
-		vals, vecs, err := eigen.SmallestK(op, k, opt.Solver)
-		if err != nil {
-			return nil, err
-		}
-		cluster := 1
-		for cluster < len(vals) &&
-			vals[cluster] <= lambda2+degeneracyRelTol*(1+math.Abs(lambda2)) {
-			cluster++
-		}
-		if cluster < k || k >= n-1 || k >= maxProbedMultiplicity {
-			if cluster > maxProbedMultiplicity {
-				cluster = maxProbedMultiplicity
-			}
-			return vecs[:cluster], nil
-		}
-		k += 2
-	}
+	return fr.Value, minimizeQuartic(g, fr.Space, opt.Solver.Seed), nil
 }
 
 // minimizeQuartic finds the unit eigenspace vector minimizing the quartic

@@ -36,20 +36,17 @@ func axisMeanGaps(side int, rank []int) (h, v float64) {
 	return hSum / count, vSum / count
 }
 
-// TestMultilevelPathHonorsBalancedDegeneracy pins the regression the
-// multilevel dispatch almost introduced: on a square grid (degenerate λ₂)
-// the default DegeneracyBalanced policy must still produce an axis-fair
-// order when the solver auto-routes to multilevel. The raw multilevel
-// Fiedler vector is typically axis-aligned — a Sweep-like order whose mean
-// rank gap along one axis is ~side times the other's — and the cheap
-// eigenspace probe plus quartic mixing must repair exactly that.
+// TestMultilevelPathHonorsBalancedDegeneracy pins the axis fairness of the
+// block solver's path (LOBPCG over the heavy-edge hierarchy): on a square
+// grid (degenerate λ₂) the default DegeneracyBalanced policy must produce
+// an axis-fair order. A single λ₂ eigenvector is typically axis-aligned —
+// a Sweep-like order whose mean rank gap along one axis is ~side times
+// the other's — and the block's whole λ₂ cluster plus quartic mixing must
+// repair exactly that.
 func TestMultilevelPathHonorsBalancedDegeneracy(t *testing.T) {
 	const side = 64
 	g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
-	opt := Options{}
-	// Force the multilevel path at this (test-friendly) size.
-	opt.Solver.MultilevelCutoff = 1024
-	res, err := SpectralOrder(g, opt)
+	res, err := SpectralOrder(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,21 +56,20 @@ func TestMultilevelPathHonorsBalancedDegeneracy(t *testing.T) {
 		hi, lo = lo, hi
 	}
 	// A sweep-like (axis-aligned) order has ratio ~side (64); the balanced
-	// diagonal mix is ~1. Anything below 3 proves the probe fired.
+	// diagonal mix is ~1. Anything below 3 proves the cluster was mixed.
 	if ratio := hi / lo; ratio > 3 {
-		t.Errorf("balanced multilevel order is axis-unfair: mean gaps h=%.1f v=%.1f (ratio %.1f)", h, v, ratio)
+		t.Errorf("balanced block-solver order is axis-unfair: mean gaps h=%.1f v=%.1f (ratio %.1f)", h, v, ratio)
 	}
 }
 
-// TestMultilevelPathRawPolicySkipsProbe confirms the documented escape
-// hatch: DegeneracyRaw keeps the raw multilevel vector (no probe, no
-// quartic pass) and still yields a valid spectral order.
-func TestMultilevelPathRawPolicySkipsProbe(t *testing.T) {
+// TestMultilevelPathRawPolicyKeepsFirstRitzVector confirms the documented
+// escape hatch: DegeneracyRaw keeps the block solver's first Ritz vector
+// (no eigenspace mixing, no quartic pass) and still yields a valid
+// spectral order.
+func TestMultilevelPathRawPolicyKeepsFirstRitzVector(t *testing.T) {
 	const side = 64
 	g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
-	opt := Options{Degeneracy: DegeneracyRaw}
-	opt.Solver.MultilevelCutoff = 1024
-	res, err := SpectralOrder(g, opt)
+	res, err := SpectralOrder(g, Options{Degeneracy: DegeneracyRaw})
 	if err != nil {
 		t.Fatal(err)
 	}

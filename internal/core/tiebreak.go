@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // The spectral order of step 5 is "the order of the assigned values" — but
 // assigned values tie. On the paper's own default construction ties are the
@@ -51,12 +51,16 @@ func OrderByValues(ids []int, vals []float64, resolve func(group []int) ([]int, 
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		va, vb := vals[perm[a]], vals[perm[b]]
-		if va != vb {
-			return va < vb
+	// ids ascend, so index order is id order: it breaks every value tie,
+	// the order is total, and a stable sort would buy nothing.
+	slices.SortFunc(perm, func(a, b int) int {
+		switch va, vb := vals[a], vals[b]; {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
 		}
-		return ids[perm[a]] < ids[perm[b]]
+		return a - b
 	})
 	lo, hi := vals[perm[0]], vals[perm[n-1]]
 	if hi == lo {
@@ -104,7 +108,7 @@ func OrderByValues(ids []int, vals []float64, resolve func(group []int) ([]int, 
 			for i := g[0]; i < g[1]; i++ {
 				members[i-g[0]] = ids[perm[i]]
 			}
-			sort.Ints(members)
+			slices.Sort(members)
 			resolved, err := resolve(members)
 			if err != nil {
 				return nil, false, err

@@ -3,40 +3,25 @@ package eigen
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math"
 
+	"github.com/spectral-lpm/spectrallpm/internal/graph"
 	"github.com/spectral-lpm/spectrallpm/internal/la"
 )
 
-// Method selects the eigensolver used by Fiedler and SmallestK.
+// Method selects the eigensolver Fiedler runs.
 type Method int
 
 const (
-	// MethodAuto picks MethodDense for small problems and
-	// MethodInversePower otherwise.
+	// MethodAuto picks MethodDense at or below Options.DenseCutoff
+	// vertices and the block solver (MethodExact) above.
 	MethodAuto Method = iota
-	// MethodInversePower runs deflated inverse-power iteration with
-	// projected conjugate-gradient inner solves. It is the production path
-	// for graph Laplacians: the smallest nonzero eigenvalue is extremal in
-	// the deflated space and each outer step contracts error by λ₂/λ₃.
-	MethodInversePower
-	// MethodLanczos runs Lanczos with full reorthogonalization.
-	MethodLanczos
-	// MethodDense densifies the operator and runs the Jacobi solver;
-	// intended for n up to a few hundred and for cross-validation.
+	// MethodDense densifies the Laplacian and runs the Jacobi solver: the
+	// reference oracle, for n up to a few hundred.
 	MethodDense
-	// MethodMultilevel coarsens the graph by heavy-edge matching, solves the
-	// Fiedler problem exactly on the coarsest level, and refines the
-	// prolonged vector up the hierarchy with warm-started inverse power
-	// iteration — the scalable path for large graphs. It needs the graph
-	// itself (to coarsen), so it is driven by MultilevelFiedler; the
-	// operator-only entry points (Fiedler, SmallestK) fall back to
-	// MethodInversePower when it is requested.
-	MethodMultilevel
-	// MethodExact is the single-level automatic choice: dense Jacobi at or
-	// below DenseCutoff, inverse power above — MethodAuto without the
-	// multilevel dispatch. Use it to force the reference path on graphs
-	// large enough that MethodAuto would coarsen.
+	// MethodExact forces the block solver at every size. Above the dense
+	// cutoff it is what MethodAuto runs; callers set it to opt out of
+	// paths that skip the solve, such as the closed-form grid order.
 	MethodExact
 )
 
@@ -45,14 +30,8 @@ func (m Method) String() string {
 	switch m {
 	case MethodAuto:
 		return "auto"
-	case MethodInversePower:
-		return "inverse-power"
-	case MethodLanczos:
-		return "lanczos"
 	case MethodDense:
 		return "dense-jacobi"
-	case MethodMultilevel:
-		return "multilevel"
 	case MethodExact:
 		return "exact"
 	default:
@@ -61,52 +40,43 @@ func (m Method) String() string {
 }
 
 // ParseMethod resolves a solver name from flags and configs: "auto",
-// "exact", "multilevel", "inverse-power", "lanczos", "dense" (aliases
-// "dense-jacobi", "jacobi").
+// "exact" or "dense" (aliases "dense-jacobi", "jacobi").
 func ParseMethod(s string) (Method, error) {
 	switch s {
 	case "auto", "":
 		return MethodAuto, nil
 	case "exact":
 		return MethodExact, nil
-	case "multilevel", "ml":
-		return MethodMultilevel, nil
-	case "inverse-power", "inversepower", "ip":
-		return MethodInversePower, nil
-	case "lanczos":
-		return MethodLanczos, nil
 	case "dense", "dense-jacobi", "jacobi":
 		return MethodDense, nil
 	default:
-		return MethodAuto, fmt.Errorf("eigen: unknown solver method %q (want auto|exact|multilevel|inverse-power|lanczos|dense)", s)
+		return MethodAuto, fmt.Errorf("eigen: unknown solver method %q (want auto|exact|dense)", s)
 	}
 }
 
-// Options tunes Fiedler and SmallestK.
+// Options tunes Fiedler.
 type Options struct {
 	// Method selects the solver; MethodAuto by default.
 	Method Method
-	// Tol is the relative residual target ||L x - λ x|| <= Tol*||L||.
-	// Defaults to 1e-9.
+	// Tol is the relative residual target ||L x - θ x|| <= Tol*||L|| that
+	// every member of the λ₂ cluster meets on the finest level (the guard
+	// column only has to separate from the cluster). Defaults to 1e-9.
 	Tol float64
-	// MaxIter caps outer iterations (inverse power) or Krylov dimension
-	// (Lanczos). 0 picks a solver-specific default.
+	// MaxIter caps the block iterations on the finest level. 0 picks
+	// defaultMaxIter.
 	MaxIter int
-	// Seed makes the randomized starts deterministic. Same seed, same
-	// result.
+	// Seed fixes the hierarchy's matching order and the random columns
+	// that widen a block. Same seed, same result.
 	Seed int64
 	// DenseCutoff is the dimension at or below which MethodAuto uses the
-	// dense solver. Defaults to 96.
+	// dense solver, and the size at which coarsening stops. Defaults to
+	// 96.
 	DenseCutoff int
-	// MultilevelCutoff is the vertex count at or above which MethodAuto
-	// picks the multilevel solver, when the caller can supply the graph
-	// (MultilevelFiedler / internal/core). Defaults to 8192.
-	MultilevelCutoff int
 	// Parallelism sets the goroutine count of the sparse kernels (matrix-
-	// vector products, dots, axpys) inside CG, Lanczos, and inverse power:
-	// 0 uses all of GOMAXPROCS, 1 forces the serial path (bit-identical to
-	// the historical kernels), k uses k workers. Small problems run
-	// serially regardless.
+	// vector products, block inner products and combinations): 0 uses all
+	// of GOMAXPROCS, 1 is serial, k uses k workers. Every reduction sums
+	// fixed-size blocks in a fixed order, so results are bit-identical at
+	// every setting; small problems run serially regardless.
 	Parallelism int
 }
 
@@ -114,349 +84,109 @@ func (o Options) withDefaults() Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-9
 	}
+	if o.MaxIter <= 0 {
+		o.MaxIter = defaultMaxIter
+	}
 	if o.DenseCutoff <= 0 {
 		o.DenseCutoff = 96
-	}
-	if o.MultilevelCutoff <= 0 {
-		o.MultilevelCutoff = 8192
 	}
 	return o
 }
 
 // Resolve returns the concrete method these options select for an n-vertex
-// problem. haveGraph reports whether the caller can hand the solver the
-// graph itself rather than an abstract operator; multilevel needs it to
-// coarsen, so without it MethodAuto never picks multilevel and an explicit
-// MethodMultilevel degrades to inverse power.
-func (o Options) Resolve(n int, haveGraph bool) Method {
+// problem: MethodDense or MethodExact.
+func (o Options) Resolve(n int) Method {
 	o = o.withDefaults()
-	switch o.Method {
-	case MethodAuto:
+	if o.Method == MethodAuto {
 		if n <= o.DenseCutoff {
 			return MethodDense
 		}
-		if haveGraph && n >= o.MultilevelCutoff {
-			return MethodMultilevel
-		}
-		return MethodInversePower
-	case MethodExact:
-		if n <= o.DenseCutoff {
-			return MethodDense
-		}
-		return MethodInversePower
-	case MethodMultilevel:
-		if !haveGraph {
-			return MethodInversePower
-		}
-		return MethodMultilevel
-	default:
-		return o.Method
+		return MethodExact
 	}
+	return o.Method
 }
 
 // Result is the outcome of a Fiedler computation.
 type Result struct {
 	// Value is λ₂, the algebraic connectivity.
 	Value float64
-	// Vector is the unit Fiedler eigenvector, orthogonal to the all-ones
-	// vector, with its largest-magnitude entry made positive.
+	// Vector is the first Ritz vector: a unit λ₂ eigenvector orthogonal to
+	// the all-ones vector, with its largest-magnitude entry made positive.
 	Vector []float64
-	// Iterations counts outer iterations (inverse power), Krylov steps
-	// (Lanczos), or sweeps (dense).
+	// Space is an orthonormal basis of the λ₂ cluster — the eigenvectors
+	// whose eigenvalues lie within degeneracyRelTol of λ₂, at most
+	// maxMultiplicity of them. Space[0] is Vector; a simple λ₂ gives one
+	// vector.
+	Space [][]float64
+	// Iterations counts block iterations summed over the hierarchy levels
+	// (1 for the dense solver).
 	Iterations int
 	// Method is the solver that actually ran.
 	Method Method
-	// Residual is the final ||L x - λ x||.
+	// Residual is the largest ||L x - θ x|| over Space.
 	Residual float64
 }
 
-// Fiedler computes the second-smallest eigenpair (λ₂, v₂) of a connected
-// graph Laplacian given as a symmetric operator. The all-ones null direction
-// is deflated internally. For disconnected graphs the result is undefined
-// and the inverse-power path typically returns ErrCGBreakdown; callers
-// should split into connected components first (internal/core does).
-func Fiedler(op Operator, opt Options) (Result, error) {
-	opt = opt.withDefaults()
-	n := op.Dim()
-	if n == 0 {
-		return Result{}, errors.New("eigen: empty operator")
+// degeneracyRelTol is the relative eigenvalue gap below which two
+// eigenvalues count as one degenerate cluster.
+const degeneracyRelTol = 1e-6
+
+// maxMultiplicity caps the λ₂ cluster; hypercubic grids in d dimensions
+// have multiplicity d, so 8 covers every practical case.
+const maxMultiplicity = 8
+
+// clusterSize counts the leading eigenvalues of vals (ascending, vals[0] =
+// λ₂) that cluster with λ₂, up to maxMultiplicity.
+func clusterSize(vals []float64) int {
+	c := 1
+	for c < len(vals) && c < maxMultiplicity &&
+		vals[c] <= vals[0]+degeneracyRelTol*(1+math.Abs(vals[0])) {
+		c++
 	}
-	if n == 1 {
+	return c
+}
+
+// Fiedler computes λ₂ and the λ₂ eigenspace of a connected graph's
+// Laplacian. The all-ones null vector is deflated internally; callers split
+// disconnected graphs into components first (internal/core does). The block
+// solver reports a disconnected graph as an error when the hierarchy
+// reaches the dense cutoff, which it does unless matching stalls.
+func Fiedler(g *graph.Graph, opt Options) (Result, error) {
+	opt = opt.withDefaults()
+	switch n := g.N(); {
+	case n == 0:
+		return Result{}, errors.New("eigen: empty graph")
+	case n == 1:
 		return Result{}, errors.New("eigen: Fiedler undefined for a single vertex")
+	case opt.Resolve(n) == MethodDense:
+		return fiedlerDense(g.Laplacian())
 	}
-	switch method := opt.Resolve(n, false); method {
-	case MethodDense:
-		return fiedlerDense(op, opt)
-	case MethodLanczos:
-		return fiedlerLanczos(op, opt)
-	case MethodInversePower:
-		return fiedlerInversePower(op, opt)
-	default:
-		return Result{}, fmt.Errorf("eigen: unknown method %v", method)
-	}
+	return blockFiedler(g, opt)
 }
 
-func fiedlerDense(op Operator, opt Options) (Result, error) {
-	n := op.Dim()
-	vals, vecs, err := Jacobi(denseFromOperator(op), 0)
+func fiedlerDense(lap *la.CSR) (Result, error) {
+	n := lap.Rows()
+	vals, vecs, err := Jacobi(la.SymFromCSR(lap), 0)
 	if err != nil {
 		return Result{}, err
 	}
-	// vals[0] ~ 0 (ones); λ₂ = vals[1]. Orthogonalize against exact ones to
+	// vals[0] ~ 0 (ones). Orthogonalize the cluster against exact ones to
 	// clean the degenerate-at-zero case, then re-normalize.
-	v := append([]float64(nil), vecs[1]...)
-	la.OrthogonalizeAgainst(v, la.UnitOnes(n))
-	if la.Normalize(v) == 0 {
-		return Result{}, errors.New("eigen: dense Fiedler vector vanished (disconnected graph?)")
-	}
-	canonicalizeSign([][]float64{v})
-	res := residual(op, v, vals[1])
-	return Result{Value: vals[1], Vector: v, Iterations: 1, Method: MethodDense, Residual: res}, nil
-}
-
-func fiedlerLanczos(op Operator, opt Options) (Result, error) {
-	n := op.Dim()
-	vals, vecs, err := LanczosSmallest(op, 1, LanczosOptions{
-		MaxIter: opt.MaxIter,
-		Tol:     opt.Tol,
-		Seed:    opt.Seed,
-		Deflate: [][]float64{la.UnitOnes(n)},
-		Workers: opt.Parallelism,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := residual(op, vecs[0], vals[0])
-	return Result{Value: vals[0], Vector: vecs[0], Iterations: opt.MaxIter, Method: MethodLanczos, Residual: res}, nil
-}
-
-func fiedlerInversePower(op Operator, opt Options) (Result, error) {
-	return inversePowerFrom(op, opt, nil, 0)
-}
-
-// inversePowerFrom runs deflated inverse power iteration starting from x0
-// (nil means a seeded random start). It is the refinement engine of both the
-// exact path (random start) and the multilevel path (prolonged coarse
-// Fiedler vectors as warm starts). x0 is not modified. cgTol overrides the
-// inner CG relative tolerance (0 keeps the production default of 1e-10; the
-// multilevel driver loosens it at intermediate levels where the iterate is
-// only a warm start). On ErrNoConvergence the returned Result still carries
-// the last iterate, so warm-start callers can use it.
-func inversePowerFrom(op Operator, opt Options, x0 []float64, cgTol float64) (Result, error) {
-	opt = opt.withDefaults()
-	n := op.Dim()
-	w := opt.Parallelism
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	scale := normEst(op, opt.Seed+7)
-	deflate := [][]float64{la.UnitOnes(n)}
-	var x []float64
-	if x0 != nil {
-		x = append([]float64(nil), x0...)
-	} else {
-		x = randomUnit(rand.New(rand.NewSource(opt.Seed)), n)
-	}
-	la.OrthogonalizeAgainstP(x, w, deflate...)
-	if la.Normalize(x) == 0 {
-		if x0 == nil {
-			return Result{}, errors.New("eigen: degenerate start vector")
-		}
-		// A warm start that lies in the deflated space carries no
-		// information; fall back to the seeded random start.
-		x = randomUnit(rand.New(rand.NewSource(opt.Seed)), n)
-		la.OrthogonalizeAgainstP(x, w, deflate...)
-		if la.Normalize(x) == 0 {
-			return Result{}, errors.New("eigen: degenerate start vector")
+	space := vecs[1 : 1+clusterSize(vals[1:])]
+	for _, v := range space {
+		la.OrthogonalizeAgainst(v, la.UnitOnes(n))
+		if la.Normalize(v) == 0 {
+			return Result{}, errors.New("eigen: dense Fiedler vector vanished (disconnected graph?)")
 		}
 	}
-	if cgTol <= 0 {
-		cgTol = 1e-10
-	}
-	lx := make([]float64, n)
-	var lambda, res float64
-	for it := 1; it <= maxIter; it++ {
-		y, _, err := ProjectedCG(op, x, deflate, cgTol, 40*n, w)
-		if err != nil {
-			return Result{}, fmt.Errorf("inverse power inner solve failed: %w", err)
-		}
-		la.OrthogonalizeAgainstP(y, w, deflate...)
-		if la.Normalize(y) == 0 {
-			return Result{}, errors.New("eigen: inverse power iterate vanished")
-		}
-		x = y
-		op.Apply(lx, x)
-		lambda = la.DotP(x, lx, w)
-		la.AxpyP(-lambda, x, lx, w)
-		res = la.Norm2P(lx, w)
-		if res <= opt.Tol*scale {
-			canonicalizeSign([][]float64{x})
-			return Result{Value: lambda, Vector: x, Iterations: it, Method: MethodInversePower, Residual: res}, nil
-		}
-	}
-	canonicalizeSign([][]float64{x})
-	return Result{Value: lambda, Vector: x, Iterations: maxIter, Method: MethodInversePower, Residual: res},
-		fmt.Errorf("%w: inverse power residual %.3g after %d iterations (target %.3g)",
-			ErrNoConvergence, res, maxIter, opt.Tol*scale)
-}
-
-// residual returns ||op(x) - lambda x||.
-func residual(op Operator, x []float64, lambda float64) float64 {
-	y := make([]float64, len(x))
-	op.Apply(y, x)
-	la.Axpy(-lambda, x, y)
-	return la.Norm2(y)
-}
-
-// SmallestK computes the k smallest eigenpairs of a connected graph
-// Laplacian beyond the deflated all-ones null space — the spectral embedding
-// used for multi-dimensional spectral layouts and recursive bisection. It
-// uses block inverse-power iteration with a Rayleigh-Ritz projection
-// (MethodInversePower/Auto) or Lanczos. vecs[j] is the unit eigenvector for
-// vals[j], j = 0 corresponding to λ₂.
-func SmallestK(op Operator, k int, opt Options) (vals []float64, vecs [][]float64, err error) {
-	opt = opt.withDefaults()
-	n := op.Dim()
-	if k <= 0 || k > n-1 {
-		return nil, nil, fmt.Errorf("eigen: SmallestK k=%d out of range for n=%d", k, n)
-	}
-	deflate := [][]float64{la.UnitOnes(n)}
-	switch method := opt.Resolve(n, false); method {
-	case MethodDense:
-		s := denseFromOperator(op)
-		allVals, allVecs, err := Jacobi(s, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals = append([]float64(nil), allVals[1:1+k]...)
-		vecs = make([][]float64, k)
-		for i := range vecs {
-			v := append([]float64(nil), allVecs[1+i]...)
-			la.OrthogonalizeAgainst(v, deflate...)
-			la.Normalize(v)
-			vecs[i] = v
-		}
-		canonicalizeSign(vecs)
-		return vals, vecs, nil
-	case MethodLanczos:
-		return LanczosSmallest(op, k, LanczosOptions{
-			MaxIter: opt.MaxIter, Tol: opt.Tol, Seed: opt.Seed, Deflate: deflate,
-			Workers: opt.Parallelism,
-		})
-	case MethodInversePower:
-		return smallestKBlock(op, k, opt, deflate)
-	default:
-		return nil, nil, fmt.Errorf("eigen: unknown method %v", method)
-	}
-}
-
-func denseFromOperator(op Operator) *la.Sym {
-	n := op.Dim()
-	s := la.NewSym(n)
-	x := make([]float64, n)
+	canonicalizeSign(space)
+	var worst float64
 	y := make([]float64, n)
-	for j := 0; j < n; j++ {
-		la.Zero(x)
-		x[j] = 1
-		op.Apply(y, x)
-		for i := 0; i < n; i++ {
-			s.Set(i, j, y[i])
-		}
+	for j, v := range space {
+		lap.MulVec(y, v)
+		la.Axpy(-vals[1+j], v, y)
+		worst = math.Max(worst, la.Norm2(y))
 	}
-	return s
-}
-
-func smallestKBlock(op Operator, k int, opt Options, deflate [][]float64) ([]float64, [][]float64, error) {
-	n := op.Dim()
-	maxIter := opt.MaxIter
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	scale := normEst(op, opt.Seed+11)
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	// Random orthonormal block X of width k, orthogonal to deflate.
-	X := make([][]float64, k)
-	for j := range X {
-		X[j] = randomUnit(rng, n)
-	}
-	orthonormalize(X, deflate, opt.Seed)
-
-	tmp := make([]float64, n)
-	vals := make([]float64, k)
-	for it := 1; it <= maxIter; it++ {
-		// Inverse iteration: solve L Y_j = X_j.
-		for j := range X {
-			y, _, err := ProjectedCG(op, X[j], deflate, 1e-10, 40*n, opt.Parallelism)
-			if err != nil {
-				return nil, nil, fmt.Errorf("block inverse power inner solve failed: %w", err)
-			}
-			X[j] = y
-		}
-		orthonormalize(X, deflate, opt.Seed)
-		// Rayleigh-Ritz on span(X): H = Xᵀ L X (k x k), rotate X by its
-		// eigenvectors.
-		h := la.NewSym(k)
-		LX := make([][]float64, k)
-		for j := range X {
-			lx := make([]float64, n)
-			op.Apply(lx, X[j])
-			LX[j] = lx
-		}
-		for a := 0; a < k; a++ {
-			for b := a; b < k; b++ {
-				h.Set(a, b, la.Dot(X[a], LX[b]))
-			}
-		}
-		hv, hw, err := Jacobi(h, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		rot := make([][]float64, k)
-		for a := 0; a < k; a++ {
-			v := make([]float64, n)
-			for b := 0; b < k; b++ {
-				la.Axpy(hw[a][b], X[b], v)
-			}
-			rot[a] = v
-		}
-		X = rot
-		copy(vals, hv)
-		// Convergence: max residual over the block.
-		var worst float64
-		for j := range X {
-			op.Apply(tmp, X[j])
-			la.Axpy(-vals[j], X[j], tmp)
-			if r := la.Norm2(tmp); r > worst {
-				worst = r
-			}
-		}
-		if worst <= opt.Tol*scale {
-			canonicalizeSign(X)
-			return vals, X, nil
-		}
-	}
-	return nil, nil, ErrNoConvergence
-}
-
-// orthonormalize applies modified Gram-Schmidt to the block, first removing
-// deflated directions. Vectors that vanish are replaced by fresh random
-// directions, deterministically: the rescue seed mixes the caller's seed
-// with the block position, so different Options.Seed values explore
-// different rescue directions while the same seed stays reproducible.
-func orthonormalize(X [][]float64, deflate [][]float64, seed int64) {
-	for j := range X {
-		for pass := 0; pass < 2; pass++ {
-			la.OrthogonalizeAgainst(X[j], deflate...)
-			la.OrthogonalizeAgainst(X[j], X[:j]...)
-		}
-		if la.Normalize(X[j]) < 1e-12 {
-			rng := rand.New(rand.NewSource(seed*0x9E3779B9 + int64(1000+j)))
-			X[j] = randomUnit(rng, len(X[j]))
-			la.OrthogonalizeAgainst(X[j], deflate...)
-			la.OrthogonalizeAgainst(X[j], X[:j]...)
-			la.Normalize(X[j])
-		}
-	}
+	return Result{Value: vals[1], Vector: space[0], Space: space, Iterations: 1,
+		Method: MethodDense, Residual: worst}, nil
 }

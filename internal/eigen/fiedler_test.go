@@ -3,28 +3,23 @@ package eigen
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/spectral-lpm/spectrallpm/internal/graph"
 	"github.com/spectral-lpm/spectrallpm/internal/la"
 )
 
-// laplacianCSR assembles the combinatorial Laplacian L = D - A of an
-// undirected graph given as an edge list.
-func laplacianCSR(t testing.TB, n int, edges [][2]int) *la.CSR {
+// edgeGraph builds an unweighted graph from an edge list.
+func edgeGraph(t testing.TB, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	b := la.NewBuilder(n, n)
+	g := graph.New(n)
 	for _, e := range edges {
-		u, v := e[0], e[1]
-		b.Add(u, u, 1)
-		b.Add(v, v, 1)
-		b.Add(u, v, -1)
-		b.Add(v, u, -1)
+		if err := g.AddUnitEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	m, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return g
 }
 
 func pathEdges(n int) [][2]int {
@@ -58,81 +53,78 @@ func starEdges(n int) [][2]int {
 	return e
 }
 
-// gridEdges returns 4-connectivity edges of a side x side grid, vertices
-// numbered row-major.
-func gridEdges(side int) [][2]int {
-	var e [][2]int
-	id := func(r, c int) int { return r*side + c }
-	for r := 0; r < side; r++ {
-		for c := 0; c < side; c++ {
-			if c+1 < side {
-				e = append(e, [2]int{id(r, c), id(r, c+1)})
-			}
-			if r+1 < side {
-				e = append(e, [2]int{id(r, c), id(r+1, c)})
-			}
-		}
-	}
-	return e
+// gridGraph returns the orthogonal grid graph with the given side lengths.
+func gridGraph(dims ...int) *graph.Graph {
+	return graph.GridGraph(graph.MustGrid(dims...), graph.Orthogonal)
+}
+
+// pathEigenvalue is the k-th eigenvalue 2(1 − cos(kπ/n)) of the n-vertex
+// path Laplacian.
+func pathEigenvalue(n, k int) float64 {
+	return 2 * (1 - math.Cos(float64(k)*math.Pi/float64(n)))
 }
 
 func TestFiedlerClosedFormsAllMethods(t *testing.T) {
 	cases := []struct {
-		name  string
-		n     int
-		edges [][2]int
-		want  float64
+		name string
+		g    *graph.Graph
+		want float64
 	}{
-		{"path8", 8, pathEdges(8), pathEigenvalue(8, 1)},
-		{"path25", 25, pathEdges(25), pathEigenvalue(25, 1)},
-		{"cycle12", 12, cycleEdges(12), 2 - 2*math.Cos(2*math.Pi/12)},
-		{"complete10", 10, completeEdges(10), 10},
-		{"star9", 9, starEdges(9), 1},
-		{"grid5x5", 25, gridEdges(5), pathEigenvalue(5, 1)},
-		{"grid7x7", 49, gridEdges(7), pathEigenvalue(7, 1)},
+		{"path8", edgeGraph(t, 8, pathEdges(8)), pathEigenvalue(8, 1)},
+		{"path25", edgeGraph(t, 25, pathEdges(25)), pathEigenvalue(25, 1)},
+		{"cycle12", edgeGraph(t, 12, cycleEdges(12)), 2 - 2*math.Cos(2*math.Pi/12)},
+		{"complete10", edgeGraph(t, 10, completeEdges(10)), 10},
+		{"star9", edgeGraph(t, 9, starEdges(9)), 1},
+		{"grid5x5", gridGraph(5, 5), pathEigenvalue(5, 1)},
+		{"grid7x7", gridGraph(7, 7), pathEigenvalue(7, 1)},
+		{"grid24x24", gridGraph(24, 24), pathEigenvalue(24, 1)},
 	}
-	methods := []Method{MethodDense, MethodLanczos, MethodInversePower}
 	for _, tc := range cases {
-		l := laplacianCSR(t, tc.n, tc.edges)
-		op := CSROperator{M: l}
-		for _, m := range methods {
+		for _, m := range []Method{MethodDense, MethodExact} {
+			if m == MethodDense && tc.g.N() > 100 {
+				continue
+			}
 			t.Run(tc.name+"/"+m.String(), func(t *testing.T) {
-				res, err := Fiedler(op, Options{Method: m, Seed: 5})
+				res, err := Fiedler(tc.g, Options{Method: m, Seed: 5})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if math.Abs(res.Value-tc.want) > 1e-6*(1+tc.want) {
 					t.Errorf("λ₂ = %.10f, want %.10f", res.Value, tc.want)
 				}
-				checkFiedlerInvariants(t, op, res)
+				checkFiedlerInvariants(t, tc.g, res)
 			})
 		}
 	}
 }
 
-// checkFiedlerInvariants verifies the properties any valid Fiedler pair must
-// satisfy, independent of eigenspace degeneracy: unit norm, orthogonality to
-// ones, small residual, Rayleigh quotient equal to the eigenvalue.
-func checkFiedlerInvariants(t *testing.T, op Operator, res Result) {
+// checkFiedlerInvariants verifies the properties any valid Fiedler result
+// must satisfy, independent of eigenspace degeneracy: an orthonormal space
+// led by Vector, orthogonal to ones, with small residuals and Rayleigh
+// quotients equal to the eigenvalue.
+func checkFiedlerInvariants(t *testing.T, g *graph.Graph, res Result) {
 	t.Helper()
-	n := op.Dim()
-	v := res.Vector
-	if math.Abs(la.Norm2(v)-1) > 1e-8 {
-		t.Errorf("Fiedler vector norm = %v", la.Norm2(v))
+	n := g.N()
+	lap := g.Laplacian()
+	if len(res.Space) == 0 || &res.Space[0][0] != &res.Vector[0] {
+		t.Fatalf("Space does not start with Vector")
 	}
-	if d := la.Dot(v, la.Ones(n)); math.Abs(d) > 1e-6*math.Sqrt(float64(n)) {
-		t.Errorf("Fiedler vector not ⊥ ones: %v", d)
-	}
-	y := make([]float64, n)
-	op.Apply(y, v)
-	rq := la.Dot(v, y)
-	if math.Abs(rq-res.Value) > 1e-6*(1+math.Abs(res.Value)) {
-		t.Errorf("Rayleigh quotient %v != λ %v", rq, res.Value)
-	}
-	la.Axpy(-res.Value, v, y)
-	scale := normEst(op, 1)
-	if r := la.Norm2(y); r > 1e-6*scale {
-		t.Errorf("residual %v too large (scale %v)", r, scale)
+	checkOrthonormal(t, res.Space, 1e-8)
+	scale := normInf(lap)
+	for j, v := range res.Space {
+		if d := la.Dot(v, la.Ones(n)); math.Abs(d) > 1e-6*math.Sqrt(float64(n)) {
+			t.Errorf("space[%d] not ⊥ ones: %v", j, d)
+		}
+		y := make([]float64, n)
+		lap.MulVec(y, v)
+		rq := la.Dot(v, y)
+		if math.Abs(rq-res.Value) > 1e-6*(1+math.Abs(res.Value)) {
+			t.Errorf("space[%d]: Rayleigh quotient %v != λ %v", j, rq, res.Value)
+		}
+		la.Axpy(-rq, v, y)
+		if r := la.Norm2(y); r > 1e-6*scale {
+			t.Errorf("space[%d]: residual %v too large (scale %v)", j, r, scale)
+		}
 	}
 }
 
@@ -141,9 +133,9 @@ func TestFiedlerPathVectorIsMonotone(t *testing.T) {
 	// strictly monotone — so the spectral order must be the path order
 	// (possibly reversed). λ₂ is simple here, so this is deterministic.
 	const n = 16
-	l := laplacianCSR(t, n, pathEdges(n))
-	for _, m := range []Method{MethodDense, MethodLanczos, MethodInversePower} {
-		res, err := Fiedler(CSROperator{M: l}, Options{Method: m, Seed: 2})
+	g := edgeGraph(t, n, pathEdges(n))
+	for _, m := range []Method{MethodDense, MethodExact} {
+		res, err := Fiedler(g, Options{Method: m, Seed: 2})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -163,13 +155,12 @@ func TestFiedlerPathVectorIsMonotone(t *testing.T) {
 }
 
 func TestFiedlerDeterministicForFixedSeed(t *testing.T) {
-	l := laplacianCSR(t, 36, gridEdges(6))
-	op := CSROperator{M: l}
-	a, err := Fiedler(op, Options{Method: MethodInversePower, Seed: 42})
+	g := gridGraph(18, 14)
+	a, err := Fiedler(g, Options{Method: MethodExact, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fiedler(op, Options{Method: MethodInversePower, Seed: 42})
+	b, err := Fiedler(g, Options{Method: MethodExact, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,85 +172,67 @@ func TestFiedlerDeterministicForFixedSeed(t *testing.T) {
 }
 
 func TestFiedlerErrors(t *testing.T) {
-	if _, err := Fiedler(FuncOperator{N: 0}, Options{}); err == nil {
-		t.Error("empty operator accepted")
-	}
-	one, _ := la.NewCSR(1, 1, nil)
-	if _, err := Fiedler(CSROperator{M: one}, Options{}); err == nil {
-		t.Error("single vertex accepted")
+	for _, m := range []Method{MethodDense, MethodExact} {
+		if _, err := Fiedler(graph.New(0), Options{Method: m}); err == nil {
+			t.Errorf("%v: empty graph accepted", m)
+		}
+		if _, err := Fiedler(graph.New(1), Options{Method: m}); err == nil {
+			t.Errorf("%v: single vertex accepted", m)
+		}
 	}
 }
 
 func TestFiedlerDisconnectedGraphFailsCleanly(t *testing.T) {
-	// Two disjoint edges: the Laplacian has a 2-dimensional null space, so
-	// deflating only the global ones vector leaves a singular system. The
-	// inverse-power path must fail with an error, not hang or return junk.
-	l := laplacianCSR(t, 4, [][2]int{{0, 1}, {2, 3}})
-	_, err := Fiedler(CSROperator{M: l}, Options{Method: MethodInversePower, Seed: 1, MaxIter: 5})
-	if err == nil {
-		t.Skip("inverse power converged on disconnected graph (λ=0 vector); acceptable but unusual")
+	// Two disjoint edges, and two disjoint grids above the dense cutoff:
+	// the Laplacian has a 2-dimensional null space, so deflating only the
+	// global ones vector leaves λ₂ = 0. The block solver must fail with an
+	// error, not hang or return junk.
+	two := gridGraph(12, 12)
+	big := graph.New(2 * two.N())
+	two.Edges(func(u, v int, w float64) {
+		for _, off := range []int{0, two.N()} {
+			if err := big.AddEdge(u+off, v+off, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for _, g := range []*graph.Graph{edgeGraph(t, 4, [][2]int{{0, 1}, {2, 3}}), big} {
+		if _, err := Fiedler(g, Options{Method: MethodExact, Seed: 1, MaxIter: 5}); err == nil {
+			t.Errorf("%d vertices: disconnected graph accepted", g.N())
+		}
 	}
 }
 
 func TestFiedlerGridDegenerateEigenvalueStillOptimal(t *testing.T) {
 	// On an m x m grid λ₂ has multiplicity 2; any unit combination of the
-	// two eigenvectors is optimal. Verify the invariants and the value.
-	const side = 6
-	l := laplacianCSR(t, side*side, gridEdges(side))
-	want := pathEigenvalue(side, 1)
-	for _, m := range []Method{MethodDense, MethodInversePower, MethodLanczos} {
-		res, err := Fiedler(CSROperator{M: l}, Options{Method: m, Seed: 11})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if math.Abs(res.Value-want) > 1e-6 {
-			t.Errorf("%v: λ₂ = %v, want %v", m, res.Value, want)
-		}
-		checkFiedlerInvariants(t, CSROperator{M: l}, res)
-	}
-}
-
-func TestSmallestKGridMatchesKroneckerSpectrum(t *testing.T) {
-	// Eigenvalues of the m x m grid Laplacian are sums of path eigenvalues.
-	const side = 5
-	n := side * side
-	l := laplacianCSR(t, n, gridEdges(side))
-	var all []float64
-	for a := 0; a < side; a++ {
-		for b := 0; b < side; b++ {
-			all = append(all, pathEigenvalue(side, a)+pathEigenvalue(side, b))
-		}
-	}
-	sortFloats(all)
-	const k = 4
-	for _, m := range []Method{MethodDense, MethodInversePower, MethodLanczos} {
-		vals, vecs, err := SmallestK(CSROperator{M: l}, k, Options{Method: m, Seed: 3})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		for i := 0; i < k; i++ {
-			if math.Abs(vals[i]-all[i+1]) > 1e-6 {
-				t.Errorf("%v: eig %d = %v, want %v", m, i, vals[i], all[i+1])
+	// two eigenvectors is optimal, and both solvers return the whole
+	// eigenspace. Verify the invariants, the value and the multiplicity.
+	for _, side := range []int{6, 30} {
+		g := gridGraph(side, side)
+		want := pathEigenvalue(side, 1)
+		for _, m := range []Method{MethodDense, MethodExact} {
+			if m == MethodDense && side > 10 {
+				continue
 			}
+			res, err := Fiedler(g, Options{Method: m, Seed: 11})
+			if err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			if math.Abs(res.Value-want) > 1e-6 {
+				t.Errorf("%d² %v: λ₂ = %v, want %v", side, m, res.Value, want)
+			}
+			if len(res.Space) != 2 {
+				t.Errorf("%d² %v: eigenspace dimension %d, want 2", side, m, len(res.Space))
+			}
+			checkFiedlerInvariants(t, g, res)
 		}
-		checkOrthonormal(t, vecs, 1e-6)
-	}
-}
-
-func TestSmallestKBadK(t *testing.T) {
-	l := laplacianCSR(t, 4, pathEdges(4))
-	if _, _, err := SmallestK(CSROperator{M: l}, 0, Options{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := SmallestK(CSROperator{M: l}, 4, Options{}); err == nil {
-		t.Error("k=n accepted")
 	}
 }
 
 func TestMethodString(t *testing.T) {
 	for m, want := range map[Method]string{
-		MethodAuto: "auto", MethodInversePower: "inverse-power",
-		MethodLanczos: "lanczos", MethodDense: "dense-jacobi", Method(99): "method(99)",
+		MethodAuto: "auto", MethodDense: "dense-jacobi", MethodExact: "exact",
+		Method(99): "method(99)",
 	} {
 		if got := m.String(); got != want {
 			t.Errorf("Method(%d).String() = %q, want %q", int(m), got, want)
@@ -268,22 +241,24 @@ func TestMethodString(t *testing.T) {
 }
 
 func TestErrNoConvergenceWrapped(t *testing.T) {
-	// An operator with a tiny iteration budget must report
+	// A one-iteration budget with an unreachable tolerance must report
 	// ErrNoConvergence in its chain.
-	l := laplacianCSR(t, 64, gridEdges(8))
-	_, err := Fiedler(CSROperator{M: l}, Options{Method: MethodInversePower, MaxIter: 1, Tol: 1e-15, Seed: 1})
-	if err == nil {
-		t.Skip("converged in one iteration; nothing to assert")
-	}
+	_, err := Fiedler(gridGraph(20, 20), Options{Method: MethodExact, MaxIter: 1, Tol: 1e-15, Seed: 1})
 	if !errors.Is(err, ErrNoConvergence) {
 		t.Errorf("error %v does not wrap ErrNoConvergence", err)
 	}
+	if err != nil && !strings.Contains(err.Error(), "after 1 iterations") {
+		t.Errorf("error %q does not name the budget", err)
+	}
 }
 
-func sortFloats(x []float64) {
-	for i := 1; i < len(x); i++ {
-		for j := i; j > 0 && x[j] < x[j-1]; j-- {
-			x[j], x[j-1] = x[j-1], x[j]
-		}
+func TestCanonicalizeSign(t *testing.T) {
+	v := [][]float64{{0.1, -0.9, 0.2}, {0.5, 0.4, 0.0}}
+	canonicalizeSign(v)
+	if v[0][1] != 0.9 {
+		t.Errorf("sign not flipped: %v", v[0])
+	}
+	if v[1][0] != 0.5 {
+		t.Errorf("sign flipped unnecessarily: %v", v[1])
 	}
 }

@@ -3,75 +3,89 @@ package eigen
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/spectral-lpm/spectrallpm/internal/graph"
 	"github.com/spectral-lpm/spectrallpm/internal/la"
 )
 
+// These tests drive the block solver through graphs large enough for a
+// several-level heavy-edge hierarchy: the warm start and the V-cycle
+// preconditioner both run over it.
+
 // gridLambda2 is the closed-form algebraic connectivity of an r x c grid
 // graph under 4-connectivity: the smallest nonzero path eigenvalue over the
 // two axes, 2(1 − cos(π/side)) for the longer side.
 func gridLambda2(r, c int) float64 {
-	side := r
-	if c > side {
-		side = c
+	return pathEigenvalue(max(r, c), 1)
+}
+
+// pathFiedler is the closed-form unit Fiedler vector of the n-vertex path,
+// cos(π(i+1/2)/n), sign-canonicalized like the solvers' output.
+func pathFiedler(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Cos(math.Pi * (float64(i) + 0.5) / float64(n))
 	}
-	return 2 * (1 - math.Cos(math.Pi/float64(side)))
+	la.Normalize(v)
+	canonicalizeSign([][]float64{v})
+	return v
 }
 
 func TestMultilevelFiedlerMatchesClosedFormOnGrids(t *testing.T) {
-	cases := []struct{ r, c int }{
-		{40, 40},   // square: degenerate λ₂, still must hit the value
-		{96, 64},   // rectangular: simple λ₂
-		{128, 128}, // large enough for a several-level hierarchy
+	cases := []struct{ r, c, mult int }{
+		{40, 40, 2},   // square: degenerate λ₂, the whole eigenspace comes back
+		{96, 64, 1},   // rectangular: simple λ₂
+		{128, 128, 2}, // large enough for a several-level hierarchy
 	}
 	for _, tc := range cases {
-		g := graph.GridGraph(graph.MustGrid(tc.r, tc.c), graph.Orthogonal)
-		res, err := MultilevelFiedler(g, Options{Seed: 1})
+		g := gridGraph(tc.r, tc.c)
+		res, err := Fiedler(g, Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("%dx%d: %v", tc.r, tc.c, err)
 		}
 		want := gridLambda2(tc.r, tc.c)
-		if rel := math.Abs(res.Value-want) / want; rel > 0.01 {
-			t.Errorf("%dx%d: λ₂ = %.8g, closed form %.8g (rel err %.3g)", tc.r, tc.c, res.Value, want, rel)
+		if rel := math.Abs(res.Value-want) / want; rel > 1e-8 {
+			t.Errorf("%dx%d: λ₂ = %.12g, closed form %.12g (rel err %.3g)", tc.r, tc.c, res.Value, want, rel)
 		}
-		if res.Method != MethodMultilevel {
+		if res.Method != MethodExact {
 			t.Errorf("%dx%d: method %v", tc.r, tc.c, res.Method)
 		}
-		checkFiedlerInvariants(t, CSROperator{M: g.Laplacian()}, res)
+		if len(res.Space) != tc.mult {
+			t.Errorf("%dx%d: eigenspace dimension %d, want %d", tc.r, tc.c, len(res.Space), tc.mult)
+		}
+		checkFiedlerInvariants(t, g, res)
 	}
 }
 
 func TestMultilevelFiedlerMatchesExactOnPath(t *testing.T) {
-	// Non-degenerate spectrum: multilevel and exact must agree on the
+	// Non-degenerate spectrum: the block solver must find the closed-form
 	// eigenvector itself (up to sign, which both canonicalize).
 	const n = 600
-	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		if err := g.AddUnitEdge(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ml, err := MultilevelFiedler(g, Options{Seed: 3})
+	g := edgeGraph(t, n, pathEdges(n))
+	res, err := Fiedler(g, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Fiedler(CSROperator{M: g.Laplacian()}, Options{Method: MethodInversePower, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	if rel := math.Abs(res.Value-pathEigenvalue(n, 1)) / res.Value; rel > 1e-6 {
+		t.Errorf("λ₂ %.10g vs closed form %.10g", res.Value, pathEigenvalue(n, 1))
 	}
-	if rel := math.Abs(ml.Value-ex.Value) / ex.Value; rel > 1e-6 {
-		t.Errorf("λ₂ multilevel %.10g vs exact %.10g", ml.Value, ex.Value)
-	}
-	if d := math.Abs(la.Dot(ml.Vector, ex.Vector)); d < 1-1e-6 {
-		t.Errorf("|<ml, exact>| = %v, want ~1", d)
+	if d := math.Abs(la.Dot(res.Vector, pathFiedler(n))); d < 1-1e-6 {
+		t.Errorf("|<block, closed form>| = %v, want ~1", d)
 	}
 }
 
-// arrangementCost is Σ w·|rank_u − rank_v| for the order induced by x.
+// arrangementCost is Σ w·|rank_u − rank_v| for the order induced by x,
+// with x rounded to multiples of 1e-7 first so that entries equal up to
+// solver noise tie and fall back to id order, as the snapped tie groups of
+// internal/core do.
 func arrangementCost(g *graph.Graph, x []float64) float64 {
 	n := g.N()
+	x = append([]float64(nil), x...)
+	for i, v := range x {
+		x[i] = math.Round(v * 1e7)
+	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -98,57 +112,58 @@ func arrangementCost(g *graph.Graph, x []float64) float64 {
 }
 
 func TestMultilevelOrderCostComparableToExact(t *testing.T) {
-	// The acceptance bar of the multilevel path: the induced linear order
-	// must be as good (in the discrete minimum-linear-arrangement objective)
-	// as the exact solver's, not just the eigenvalue. A rectangular grid
-	// keeps λ₂ simple so both solvers target the same eigenvector.
-	g := graph.GridGraph(graph.MustGrid(96, 64), graph.Orthogonal)
-	ml, err := MultilevelFiedler(g, Options{Seed: 2})
+	// The induced linear order must be as good (in the discrete minimum-
+	// linear-arrangement objective) as the exact eigenvector's, not just
+	// the eigenvalue. A rectangular grid keeps λ₂ simple; its exact
+	// Fiedler vector is the path vector along the long (row) axis.
+	const rows, cols = 96, 64
+	g := gridGraph(rows, cols)
+	res, err := Fiedler(g, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := Fiedler(CSROperator{M: g.Laplacian()}, Options{Method: MethodInversePower, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	path := pathFiedler(rows)
+	exact := make([]float64, rows*cols)
+	for v := range exact {
+		exact[v] = path[v/cols]
 	}
-	mlCost := arrangementCost(g, ml.Vector)
-	exCost := arrangementCost(g, ex.Vector)
-	if mlCost > 1.05*exCost {
-		t.Errorf("multilevel arrangement cost %.0f vs exact %.0f (> 5%% worse)", mlCost, exCost)
+	blockCost, exactCost := arrangementCost(g, res.Vector), arrangementCost(g, exact)
+	if blockCost > 1.05*exactCost {
+		t.Errorf("block arrangement cost %.0f vs exact %.0f (> 5%% worse)", blockCost, exactCost)
 	}
 }
 
 func TestMultilevelFiedlerParallelismConsistent(t *testing.T) {
-	// Parallelism must not change correctness. (The SpMV is bit-identical
-	// at any worker count; dot reductions use fixed-block partials, so
-	// vectors may differ from serial in the last bits — both must still be
-	// valid eigenpairs of the same λ₂.) The grid is deliberately above
-	// la's serial cutoff (12288 vertices, ~48k Laplacian entries) so the
-	// Parallelism=4 run actually takes the goroutine-parallel kernels
-	// rather than silently delegating to the serial ones.
-	g := graph.GridGraph(graph.MustGrid(128, 96), graph.Orthogonal)
-	serial, err := MultilevelFiedler(g, Options{Seed: 9, Parallelism: 1})
+	// Parallelism must not change a single bit: the SpMV and the block
+	// combinations are elementwise, and every inner product sums fixed
+	// blocks in a fixed order at every worker count. The grid is above
+	// la's serial cutoff (12288 vertices) so the Parallelism=4 run takes
+	// the goroutine-parallel kernels.
+	g := gridGraph(128, 96)
+	serial, err := Fiedler(g, Options{Seed: 9, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultilevelFiedler(g, Options{Seed: 9, Parallelism: 4})
+	par, err := Fiedler(g, Options{Seed: 9, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel := math.Abs(serial.Value-par.Value) / serial.Value; rel > 1e-6 {
-		t.Errorf("λ₂ differs across parallelism: %.10g vs %.10g", serial.Value, par.Value)
+	if serial.Value != par.Value || serial.Iterations != par.Iterations {
+		t.Errorf("λ₂ %.17g (%d iterations) serial vs %.17g (%d) parallel",
+			serial.Value, serial.Iterations, par.Value, par.Iterations)
 	}
-	if d := math.Abs(la.Dot(serial.Vector, par.Vector)); d < 1-1e-6 {
-		t.Errorf("|<serial, parallel>| = %v, want ~1", d)
+	for i := range serial.Vector {
+		if serial.Vector[i] != par.Vector[i] {
+			t.Fatalf("vectors differ at %d: %v vs %v", i, serial.Vector[i], par.Vector[i])
+		}
 	}
-	checkFiedlerInvariants(t, CSROperator{M: g.Laplacian()}, par)
+	checkFiedlerInvariants(t, g, par)
 }
 
 func TestMultilevelFiedlerSmallGraphFallsBackToExact(t *testing.T) {
-	// Below the dense cutoff there is nothing to coarsen; the driver must
-	// return the exact dense result.
-	g := graph.GridGraph(graph.MustGrid(5, 5), graph.Orthogonal)
-	res, err := MultilevelFiedler(g, Options{Seed: 1})
+	// At or below the dense cutoff MethodAuto runs the dense solver.
+	g := gridGraph(5, 5)
+	res, err := Fiedler(g, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,36 +177,31 @@ func TestMultilevelFiedlerSmallGraphFallsBackToExact(t *testing.T) {
 }
 
 func TestMultilevelFiedlerRejectsDegenerateInputs(t *testing.T) {
-	if _, err := MultilevelFiedler(graph.New(0), Options{}); err == nil {
+	if _, err := Fiedler(graph.New(0), Options{Method: MethodExact}); err == nil {
 		t.Error("empty graph accepted")
 	}
-	if _, err := MultilevelFiedler(graph.New(1), Options{}); err == nil {
+	if _, err := Fiedler(graph.New(1), Options{Method: MethodExact}); err == nil {
 		t.Error("single vertex accepted")
 	}
 }
 
 func TestResolveMethodSelection(t *testing.T) {
 	cases := []struct {
-		opt       Options
-		n         int
-		haveGraph bool
-		want      Method
+		opt  Options
+		n    int
+		want Method
 	}{
-		{Options{}, 50, false, MethodDense},
-		{Options{}, 500, false, MethodInversePower},
-		{Options{}, 500, true, MethodInversePower},
-		{Options{}, 10000, false, MethodInversePower},
-		{Options{}, 10000, true, MethodMultilevel},
-		{Options{Method: MethodExact}, 10000, true, MethodInversePower},
-		{Options{Method: MethodExact}, 50, true, MethodDense},
-		{Options{Method: MethodMultilevel}, 500, true, MethodMultilevel},
-		{Options{Method: MethodMultilevel}, 500, false, MethodInversePower},
-		{Options{Method: MethodLanczos}, 10000, true, MethodLanczos},
-		{Options{MultilevelCutoff: 100}, 200, true, MethodMultilevel},
+		{Options{}, 50, MethodDense},
+		{Options{}, 96, MethodDense},
+		{Options{}, 97, MethodExact},
+		{Options{}, 10000, MethodExact},
+		{Options{DenseCutoff: 200}, 150, MethodDense},
+		{Options{Method: MethodExact}, 10, MethodExact},
+		{Options{Method: MethodDense}, 500, MethodDense},
 	}
 	for i, tc := range cases {
-		if got := tc.opt.Resolve(tc.n, tc.haveGraph); got != tc.want {
-			t.Errorf("case %d: Resolve(%d, %v) = %v, want %v", i, tc.n, tc.haveGraph, got, tc.want)
+		if got := tc.opt.Resolve(tc.n); got != tc.want {
+			t.Errorf("case %d: Resolve(%d) = %v, want %v", i, tc.n, got, tc.want)
 		}
 	}
 }
@@ -199,54 +209,25 @@ func TestResolveMethodSelection(t *testing.T) {
 func TestParseMethod(t *testing.T) {
 	for s, want := range map[string]Method{
 		"auto": MethodAuto, "": MethodAuto, "exact": MethodExact,
-		"multilevel": MethodMultilevel, "ml": MethodMultilevel,
-		"inverse-power": MethodInversePower, "lanczos": MethodLanczos,
-		"dense": MethodDense, "jacobi": MethodDense,
+		"dense": MethodDense, "dense-jacobi": MethodDense, "jacobi": MethodDense,
 	} {
 		got, err := ParseMethod(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseMethod("nope"); err == nil {
-		t.Error("unknown method accepted")
+	// Unknown spellings, the names of removed solvers among them, fail
+	// with an error naming the accepted ones.
+	for _, s := range []string{"nope", "lanczos", "inverse-power", "multilevel"} {
+		_, err := ParseMethod(s)
+		if err == nil || !strings.Contains(err.Error(), "auto|exact|dense") {
+			t.Errorf("ParseMethod(%q) error = %v, want one naming auto|exact|dense", s, err)
+		}
 	}
-	for _, m := range []Method{MethodMultilevel, MethodExact} {
+	for _, m := range []Method{MethodAuto, MethodDense, MethodExact} {
 		back, err := ParseMethod(m.String())
 		if err != nil || back != m {
 			t.Errorf("round trip %v: got %v, %v", m, back, err)
 		}
-	}
-}
-
-func TestOrthonormalizeRescueSeedFollowsOptions(t *testing.T) {
-	// Feed orthonormalize a degenerate block (second vector a copy of the
-	// first): the rescue direction must differ across seeds — the old code
-	// hardcoded rand.NewSource(1000+j) and produced the same rescue for
-	// every Options.Seed.
-	const n = 64
-	mkBlock := func() [][]float64 {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = math.Sin(float64(i + 1))
-		}
-		la.Normalize(x)
-		return [][]float64{append([]float64(nil), x...), append([]float64(nil), x...)}
-	}
-	deflate := [][]float64{la.UnitOnes(n)}
-	a := mkBlock()
-	orthonormalize(a, deflate, 1)
-	b := mkBlock()
-	orthonormalize(b, deflate, 2)
-	c := mkBlock()
-	orthonormalize(c, deflate, 1)
-	// Same seed reproduces, different seed diverges.
-	for i := range a[1] {
-		if a[1][i] != c[1][i] {
-			t.Fatalf("same seed produced different rescue vectors at %d", i)
-		}
-	}
-	if d := math.Abs(la.Dot(a[1], b[1])); d > 1-1e-9 {
-		t.Errorf("rescue vectors for seeds 1 and 2 are parallel (|dot| = %v)", d)
 	}
 }

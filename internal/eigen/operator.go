@@ -1,110 +1,41 @@
-// Package eigen implements the symmetric eigensolvers Spectral LPM needs:
-// an implicit-shift QL solver for tridiagonal matrices, a cyclic Jacobi
-// solver for small dense matrices, Lanczos with full reorthogonalization for
-// sparse matrices, and the primary production path for Fiedler vectors —
-// deflated inverse-power iteration with projected conjugate-gradient inner
-// solves. The package is self-contained (stdlib only) and cross-validated
-// against closed-form graph spectra in its tests.
+// Package eigen computes the Fiedler eigenspace of a graph Laplacian: λ₂
+// and an orthonormal basis of every eigenvector whose eigenvalue clusters
+// with it. One iterative solver serves every graph: block LOBPCG that
+// deflates the all-ones null vector, warm-starts from the graph's
+// heavy-edge hierarchy and is preconditioned by a V-cycle over that same
+// hierarchy (block.go). Its block holds the λ₂ cluster plus one guard
+// column, so a degenerate λ₂ — every square grid, every disk — comes back
+// whole from one solve. Dense cyclic Jacobi (jacobi.go) solves the
+// hierarchy's coarsest level and is the small-graph oracle the block
+// solver is tested against. The package is stdlib-only and deterministic:
+// the same Seed gives the same bits at every Parallelism.
 package eigen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 
 	"github.com/spectral-lpm/spectrallpm/internal/la"
 )
 
-// Operator is a symmetric linear operator y = A x. Implementations must be
-// deterministic and must not retain dst or x.
-type Operator interface {
-	// Dim returns the dimension n of the (square) operator.
-	Dim() int
-	// Apply computes dst = A x. dst and x have length Dim and do not alias.
-	Apply(dst, x []float64)
-}
+// ErrNoConvergence is returned when an eigensolver exceeds its iteration
+// budget before meeting its tolerance.
+var ErrNoConvergence = errors.New("eigen: no convergence within iteration budget")
 
-// NormEstimator is optionally implemented by Operators that can bound their
-// operator norm cheaply; solvers use it to scale residual tolerances.
-type NormEstimator interface {
-	// NormEst returns an upper bound (or close estimate) of ||A||.
-	NormEst() float64
-}
-
-// CSROperator adapts a square sparse matrix to the Operator interface.
-type CSROperator struct {
-	M *la.CSR
-	// Workers is the parallelism of the matrix-vector product: 0 uses all
-	// of GOMAXPROCS, 1 is serial, k uses k goroutines. The row-parallel
-	// product is bit-identical to the serial one at every worker count
-	// (each row is accumulated in the same order), so this is purely a
-	// speed knob. Small matrices run serially regardless.
-	Workers int
-}
-
-// Dim returns the matrix dimension.
-func (c CSROperator) Dim() int { return c.M.Rows() }
-
-// Apply computes dst = M x.
-func (c CSROperator) Apply(dst, x []float64) { c.M.MulVecP(dst, x, c.Workers) }
-
-// NormEst returns the infinity norm (max absolute row sum), a valid upper
-// bound on the spectral norm for symmetric matrices.
-func (c CSROperator) NormEst() float64 {
+// normInf returns the largest absolute row sum of m, an upper bound on the
+// spectral norm of a symmetric matrix; residual tolerances scale with it.
+func normInf(m *la.CSR) float64 {
 	var max float64
-	n := c.M.Rows()
-	for i := 0; i < n; i++ {
+	for i := 0; i < m.Rows(); i++ {
 		var s float64
-		c.M.RowRange(i, func(_ int, v float64) { s += math.Abs(v) })
-		if s > max {
-			max = s
-		}
+		m.RowRange(i, func(_ int, v float64) { s += math.Abs(v) })
+		max = math.Max(max, s)
 	}
-	return max
-}
-
-// FuncOperator wraps a function as an Operator; used by tests and by callers
-// with matrix-free operators.
-type FuncOperator struct {
-	N  int
-	Fn func(dst, x []float64)
-}
-
-// Dim returns the declared dimension.
-func (f FuncOperator) Dim() int { return f.N }
-
-// Apply invokes the wrapped function.
-func (f FuncOperator) Apply(dst, x []float64) { f.Fn(dst, x) }
-
-// normEst returns a norm scale for residual tests: the NormEstimator value
-// when available, otherwise a few power-iteration steps.
-func normEst(op Operator, seed int64) float64 {
-	if ne, ok := op.(NormEstimator); ok {
-		if v := ne.NormEst(); v > 0 {
-			return v
-		}
-	}
-	n := op.Dim()
-	if n == 0 {
+	if max == 0 {
 		return 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-	x := randomUnit(rng, n)
-	y := make([]float64, n)
-	est := 1.0
-	for i := 0; i < 8; i++ {
-		op.Apply(y, x)
-		nrm := la.Norm2(y)
-		if nrm == 0 {
-			break
-		}
-		est = nrm
-		la.Copy(x, y)
-		la.Scale(1/nrm, x)
-	}
-	if est <= 0 {
-		est = 1
-	}
-	return est
+	return max
 }
 
 // randomUnit returns a random unit vector of length n.
@@ -117,4 +48,26 @@ func randomUnit(rng *rand.Rand, n int) []float64 {
 		x[0] = 1
 	}
 	return x
+}
+
+// canonicalizeSign flips each eigenvector so its largest-magnitude entry is
+// positive, giving deterministic output across solvers.
+func canonicalizeSign(vecs [][]float64) {
+	for _, v := range vecs {
+		var maxAbs float64
+		var sign float64 = 1
+		for _, x := range v {
+			if a := math.Abs(x); a > maxAbs {
+				maxAbs = a
+				if x < 0 {
+					sign = -1
+				} else {
+					sign = 1
+				}
+			}
+		}
+		if sign < 0 {
+			la.Scale(-1, v)
+		}
+	}
 }

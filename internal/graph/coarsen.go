@@ -6,14 +6,15 @@ import (
 	"sort"
 )
 
-// Coarsening for the multilevel Fiedler path (internal/eigen): a hierarchy of
+// Coarsening for the block eigensolver (internal/eigen): a hierarchy of
 // progressively smaller weighted graphs built by heavy-edge matching, the
 // standard multilevel contraction (Hendrickson–Leland, METIS). Each level
 // merges matched vertex pairs into one coarse vertex; edge weights between
 // clusters are summed, so the coarse Laplacian's quadratic form agrees with
-// the fine one on cluster-constant vectors. The Fiedler vector of a coarse
-// level, prolonged piecewise-constantly, is a warm start for refining the
-// next finer level.
+// the fine one on cluster-constant vectors (it is the Galerkin product
+// PᵀLP for piecewise-constant prolongation P). The eigenvectors of a
+// coarse level, prolonged piecewise-constantly, warm-start the next finer
+// level, and the same levels form the solver's V-cycle preconditioner.
 
 // CoarsenOptions tunes BuildHierarchy.
 type CoarsenOptions struct {

@@ -1,7 +1,7 @@
 package la
 
 import (
-	"math"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -46,12 +46,12 @@ func parFor(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// reduceBlockSize is the fixed block length of the parallel reductions
-// (DotP, Norm2P). Partial results are computed per block and combined in
-// block order, so a reduction depends only on the vector length — not on
-// the worker count or GOMAXPROCS — making parallel results reproducible
-// across machines. 4096 amortizes goroutine scheduling while leaving enough
-// blocks to balance load.
+// reduceBlockSize is the fixed block length of the parallel reduction
+// (GramP). Partial results are computed per block and combined in block
+// order, so a reduction depends only on the vector length — not on the
+// worker count or GOMAXPROCS — making parallel results reproducible across
+// machines. 4096 amortizes goroutine scheduling while leaving enough blocks
+// to balance load.
 const reduceBlockSize = 1 << 12
 
 // parBlocks runs fn over the fixed-size blocks of [0, n) on at most
@@ -83,33 +83,6 @@ func parBlocks(n, workers int, fn func(block, lo, hi int)) {
 // numBlocks returns the block count parBlocks uses for length n.
 func numBlocks(n int) int { return (n + reduceBlockSize - 1) / reduceBlockSize }
 
-// DotP is Dot with block-parallel partial sums. Partials are combined in
-// block order over fixed-size blocks, so for a given vector length the
-// result is identical at every worker count >= 2 and on every machine; with
-// workers == 1 (or below the serial cutoff) it is the serial Dot, bit for
-// bit.
-func DotP(x, y []float64, workers int) float64 {
-	w := Workers(workers)
-	n := len(x)
-	if w <= 1 || n < parallelCutoff || len(y) != n {
-		// Serial path; a length mismatch delegates for the canonical panic.
-		return Dot(x, y)
-	}
-	partial := make([]float64, numBlocks(n))
-	parBlocks(n, w, func(b, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += x[i] * y[i]
-		}
-		partial[b] = s
-	})
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return s
-}
-
 // AxpyP is Axpy (y += alpha*x) with goroutine-chunked updates. The update is
 // elementwise, so the result is bit-identical to the serial Axpy at every
 // worker count.
@@ -130,54 +103,6 @@ func AxpyP(alpha float64, x, y []float64, workers int) {
 	})
 }
 
-// Norm2P is Norm2 with block-parallel max and sum reductions. The max pass
-// is order-independent; the scaled squares are combined in fixed block
-// order, so like DotP the result depends only on the vector length, and at
-// workers == 1 it is the serial Norm2, bit for bit.
-func Norm2P(x []float64, workers int) float64 {
-	w := Workers(workers)
-	n := len(x)
-	if w <= 1 || n < parallelCutoff {
-		return Norm2(x)
-	}
-	partial := make([]float64, numBlocks(n))
-	parBlocks(n, w, func(b, lo, hi int) {
-		var m float64
-		for i := lo; i < hi; i++ {
-			v := x[i]
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
-		partial[b] = m
-	})
-	var max float64
-	for _, m := range partial {
-		if m > max {
-			max = m
-		}
-	}
-	if max == 0 {
-		return 0
-	}
-	parBlocks(n, w, func(b, lo, hi int) {
-		var s float64
-		for i := lo; i < hi; i++ {
-			r := x[i] / max
-			s += r * r
-		}
-		partial[b] = s
-	})
-	var s float64
-	for _, p := range partial {
-		s += p
-	}
-	return max * math.Sqrt(s)
-}
-
 // ScaleP is Scale with goroutine-chunked updates; elementwise, hence
 // bit-identical to the serial Scale at every worker count.
 func ScaleP(alpha float64, x []float64, workers int) {
@@ -192,15 +117,6 @@ func ScaleP(alpha float64, x []float64, workers int) {
 			x[i] *= alpha
 		}
 	})
-}
-
-// OrthogonalizeAgainstP removes from x its components along each unit basis
-// vector, like OrthogonalizeAgainst, using the parallel dot and axpy
-// kernels. At workers == 1 it is the serial routine, bit for bit.
-func OrthogonalizeAgainstP(x []float64, workers int, basis ...[]float64) {
-	for _, q := range basis {
-		AxpyP(-DotP(x, q, workers), q, x, workers)
-	}
 }
 
 // MulVecP computes dst = C*x with rows split across goroutines. Every row is
@@ -226,4 +142,95 @@ func (c *CSR) MulVecP(dst, x []float64, workers int) {
 			dst[i] = s
 		}
 	})
+}
+
+// GramP sets g[i*len(ys)+j] = xs[i]·ys[j] for every pair of vectors, all of
+// length n. Every product is summed over the fixed reduceBlockSize blocks
+// and the partials are combined in block order at every worker count, one
+// included, so the result depends only on the inputs, and a block solver
+// built on it returns the same bits at every Parallelism. One pass over each
+// block serves every pair while the block is still in cache.
+func GramP(g []float64, xs, ys [][]float64, workers int) {
+	nx, ny := len(xs), len(ys)
+	if len(g) != nx*ny {
+		panic(fmt.Sprintf("la: GramP result length %d, want %d", len(g), nx*ny))
+	}
+	if nx == 0 || ny == 0 {
+		return
+	}
+	n := len(xs[0])
+	for _, vs := range [2][][]float64{xs, ys} {
+		for _, v := range vs {
+			if len(v) != n {
+				panic(fmt.Sprintf("la: GramP length mismatch %d != %d", len(v), n))
+			}
+		}
+	}
+	nb := numBlocks(n)
+	partial := make([]float64, nb*nx*ny)
+	block := func(b, lo, hi int) {
+		p := partial[b*nx*ny : (b+1)*nx*ny]
+		for i, x := range xs {
+			x = x[lo:hi]
+			for j, y := range ys {
+				y = y[lo:hi]
+				var s float64
+				for t, v := range x {
+					s += v * y[t]
+				}
+				p[i*ny+j] = s
+			}
+		}
+	}
+	if w := Workers(workers); w > 1 && n >= parallelCutoff {
+		parBlocks(n, w, block)
+	} else {
+		for b := 0; b < nb; b++ {
+			block(b, b*reduceBlockSize, min((b+1)*reduceBlockSize, n))
+		}
+	}
+	clear(g)
+	for b := 0; b < nb; b++ {
+		for k, v := range partial[b*nx*ny : (b+1)*nx*ny] {
+			g[k] += v
+		}
+	}
+}
+
+// CombineP sets dst[j] = Σ_a c[a*len(dst)+j]·src[a] for every column j: the
+// n x len(dst) product of the column block src (n x len(src)) with the
+// row-major coefficient matrix c. Each entry is accumulated in the same
+// order on every goroutine split, so the result is bit-identical at every
+// worker count. dst must not alias src.
+func CombineP(dst, src [][]float64, c []float64, workers int) {
+	k := len(dst)
+	if len(c) != len(src)*k {
+		panic(fmt.Sprintf("la: CombineP coefficients %d, want %d", len(c), len(src)*k))
+	}
+	if k == 0 {
+		return
+	}
+	n := len(dst[0])
+	rows := func(lo, hi int) {
+		for j, d := range dst {
+			d = d[lo:hi]
+			clear(d)
+			for a, s := range src {
+				if f := c[a*k+j]; f != 0 {
+					s = s[lo:hi]
+					for t := range d {
+						d[t] += f * s[t]
+					}
+				}
+			}
+		}
+	}
+	if w := Workers(workers); w > 1 && n >= parallelCutoff {
+		parFor(n, w, rows)
+		return
+	}
+	// Serially, one cache-sized block of rows at a time.
+	for lo := 0; lo < n; lo += reduceBlockSize {
+		rows(lo, min(lo+reduceBlockSize, n))
+	}
 }

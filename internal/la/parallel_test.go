@@ -31,12 +31,6 @@ func TestParallelKernelsBitCompatibleAtOneWorker(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, 2, 17, 1000, 10000} {
 		x, y := randVec(rng, n), randVec(rng, n)
-		if got, want := DotP(x, y, 1), Dot(x, y); got != want {
-			t.Errorf("n=%d DotP(.,.,1) = %v, Dot = %v", n, got, want)
-		}
-		if got, want := Norm2P(x, 1), Norm2(x); got != want {
-			t.Errorf("n=%d Norm2P(.,1) = %v, Norm2 = %v", n, got, want)
-		}
 		ya := append([]float64(nil), y...)
 		yb := append([]float64(nil), y...)
 		Axpy(0.37, x, ya)
@@ -51,8 +45,8 @@ func TestParallelKernelsBitCompatibleAtOneWorker(t *testing.T) {
 
 // TestMulVecPBitIdenticalAtAnyWorkerCount: row-parallel SpMV accumulates
 // every row exactly as the serial loop does, so the result must be
-// bit-identical at every worker count — this is why CSROperator can default
-// to parallel products without perturbing any solver.
+// bit-identical at every worker count — this is why the block eigensolver
+// can run parallel products without perturbing a single bit.
 func TestMulVecPBitIdenticalAtAnyWorkerCount(t *testing.T) {
 	lowerCutoff(t, 1)
 	rng := rand.New(rand.NewSource(11))
@@ -108,63 +102,6 @@ func TestAxpyScaleElementwiseBitIdentical(t *testing.T) {
 	}
 }
 
-// Parallel reductions compute per-block partials over fixed-size blocks and
-// combine them in block order, so the result depends only on the vector
-// length: every worker count >= 2 must produce the exact same bits (the
-// cross-machine reproducibility guarantee), and all of them agree with the
-// serial kernels up to roundoff.
-func TestReductionsAccurateAndDeterministicAcrossWorkers(t *testing.T) {
-	lowerCutoff(t, 1)
-	rng := rand.New(rand.NewSource(17))
-	const n = 12345
-	x, y := randVec(rng, n), randVec(rng, n)
-	dWant, nWant := Dot(x, y), Norm2(x)
-	dPar, nPar := DotP(x, y, 2), Norm2P(x, 2)
-	if math.Abs(dPar-dWant) > 1e-9*(1+math.Abs(dWant)) {
-		t.Errorf("DotP = %v, serial %v", dPar, dWant)
-	}
-	if math.Abs(nPar-nWant) > 1e-9*(1+nWant) {
-		t.Errorf("Norm2P = %v, serial %v", nPar, nWant)
-	}
-	for _, w := range []int{3, 8, 33, 1000} {
-		if d := DotP(x, y, w); d != dPar {
-			t.Errorf("DotP workers=%d = %v, differs from workers=2 value %v", w, d, dPar)
-		}
-		if nn := Norm2P(x, w); nn != nPar {
-			t.Errorf("Norm2P workers=%d = %v, differs from workers=2 value %v", w, nn, nPar)
-		}
-	}
-	if Norm2P(make([]float64, n), 4) != 0 {
-		t.Error("Norm2P of zero vector != 0")
-	}
-}
-
-func TestOrthogonalizeAgainstPMatchesSerial(t *testing.T) {
-	lowerCutoff(t, 1)
-	rng := rand.New(rand.NewSource(19))
-	const n = 2000
-	q2 := UnitOnes(n)
-	q1 := randVec(rng, n)
-	// The basis must be orthonormal (the documented contract).
-	OrthogonalizeAgainst(q1, q2)
-	Normalize(q1)
-	x := randVec(rng, n)
-	serial := append([]float64(nil), x...)
-	OrthogonalizeAgainst(serial, q1, q2)
-	for _, w := range []int{1, 4} {
-		par := append([]float64(nil), x...)
-		OrthogonalizeAgainstP(par, w, q1, q2)
-		for i := range par {
-			if math.Abs(par[i]-serial[i]) > 1e-10 {
-				t.Fatalf("workers=%d differs at %d: %v vs %v", w, i, par[i], serial[i])
-			}
-		}
-		if d := Dot(par, q1); math.Abs(d) > 1e-9 {
-			t.Errorf("workers=%d not orthogonal to q1: %v", w, d)
-		}
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Errorf("Workers(3) = %d", Workers(3))
@@ -174,5 +111,68 @@ func TestWorkersResolution(t *testing.T) {
 	}
 	if Workers(0) < 1 || Workers(-2) < 1 {
 		t.Error("Workers(<=0) must resolve to at least one worker")
+	}
+}
+
+// The parallel reduction computes per-block partials over fixed-size
+// blocks and combines them in block order, so the result depends only on
+// the inputs: every worker count, one included, must produce the exact same
+// bits (the cross-machine reproducibility guarantee), and all of them agree
+// with the serial Dot up to roundoff.
+func TestReductionsAccurateAndDeterministicAcrossWorkers(t *testing.T) {
+	lowerCutoff(t, 1)
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{1, 100, 3*reduceBlockSize + 17} {
+		xs := [][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
+		ys := [][]float64{randVec(rng, n), randVec(rng, n)}
+		want := make([]float64, len(xs)*len(ys))
+		GramP(want, xs, ys, 1)
+		for i, x := range xs {
+			for j, y := range ys {
+				if d := math.Abs(want[i*len(ys)+j] - Dot(x, y)); d > 1e-9*float64(n) {
+					t.Errorf("n=%d (%d,%d): GramP %v, Dot %v", n, i, j, want[i*len(ys)+j], Dot(x, y))
+				}
+			}
+		}
+		for _, w := range []int{2, 3, 8} {
+			got := make([]float64, len(want))
+			GramP(got, xs, ys, w)
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("n=%d workers=%d entry %d: %v != %v", n, w, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestCombinePBitIdenticalAtAnyWorkerCount: each output entry accumulates
+// the same terms in the same order on every goroutine split.
+func TestCombinePBitIdenticalAtAnyWorkerCount(t *testing.T) {
+	lowerCutoff(t, 1)
+	rng := rand.New(rand.NewSource(17))
+	const n = 2*reduceBlockSize + 5
+	src := [][]float64{randVec(rng, n), randVec(rng, n), randVec(rng, n)}
+	c := []float64{1, 0.5, -2, 0, 0.25, 3}
+	run := func(w int) [][]float64 {
+		dst := [][]float64{make([]float64, n), make([]float64, n)}
+		CombineP(dst, src, c, w)
+		return dst
+	}
+	want := run(1)
+	for i := 0; i < n; i++ {
+		if e := src[0][i]*1 + src[1][i]*-2 + src[2][i]*0.25; math.Abs(want[0][i]-e) > 1e-12 {
+			t.Fatalf("row %d: %v, want %v", i, want[0][i], e)
+		}
+	}
+	for _, w := range []int{2, 3, 8} {
+		got := run(w)
+		for j := range got {
+			for i := range got[j] {
+				if got[j][i] != want[j][i] {
+					t.Fatalf("workers=%d column %d row %d differs", w, j, i)
+				}
+			}
+		}
 	}
 }

@@ -47,15 +47,18 @@
 // below concerns the solver paths that remain.
 //
 // Options.Solver tunes the eigensolver. The default (MethodAuto) runs the
-// dense reference solver on small graphs, deflated inverse power iteration
-// in the mid range, and switches to a multilevel solver (heavy-edge-matching
-// coarsening, exact coarsest solve, warm-started refinement back up the
-// hierarchy) at or above SolverOptions.MultilevelCutoff vertices — the path
-// that scales spectral ordering to million-node graphs. Set
-// SolverOptions.Parallelism to spread the sparse matrix-vector and vector
-// kernels over goroutines (0 = all of GOMAXPROCS, 1 = serial), and
-// SolverOptions.Method to MethodExact or MethodMultilevel to force a path;
-// ParseSolverMethod maps the flag spellings "auto" | "exact" | "multilevel"
+// dense Jacobi reference solver on graphs of at most
+// SolverOptions.DenseCutoff vertices and one block solver above: LOBPCG
+// that warm-starts from a heavy-edge-matching hierarchy of the graph, is
+// preconditioned by a V-cycle over that hierarchy, and returns λ₂ with
+// its whole eigenspace in one solve — so the balanced degeneracy policy
+// costs no extra solve on symmetric point sets. It scales spectral
+// ordering to graphs of hundreds of thousands of vertices. Set
+// SolverOptions.Parallelism to spread the sparse matrix-vector and block
+// kernels over goroutines (0 = all of GOMAXPROCS, 1 = serial; results are
+// bit-identical at every setting), and SolverOptions.Method to MethodExact
+// (the block solver at every size) or MethodDense to force a path;
+// ParseSolverMethod maps the flag spellings "auto" | "exact" | "dense"
 // (as in cmd/lpmbench -solver) to methods.
 //
 // Locality metrics (the paper's evaluation quantities), the paged-storage
@@ -99,10 +102,6 @@ const (
 // Mapping is a bijection between grid points and 1-D ranks.
 type Mapping = order.Mapping
 
-// SpectralConfig tunes spectral mappings (connectivity, weights, affinity
-// edges, solver).
-type SpectralConfig = order.SpectralConfig
-
 // AffinityEdge expresses that two points should map near each other
 // (paper §4).
 type AffinityEdge = order.AffinityEdge
@@ -134,30 +133,19 @@ type SolverMethod = eigen.Method
 
 // Eigensolver methods.
 const (
-	// MethodAuto picks dense Jacobi for small graphs, inverse power
+	// MethodAuto picks dense Jacobi for small graphs and the block solver
 	// otherwise.
 	MethodAuto = eigen.MethodAuto
-	// MethodInversePower is deflated inverse-power iteration with
-	// conjugate-gradient inner solves (the production path).
-	MethodInversePower = eigen.MethodInversePower
-	// MethodLanczos is Lanczos with full reorthogonalization.
-	MethodLanczos = eigen.MethodLanczos
 	// MethodDense densifies and runs the Jacobi reference solver.
 	MethodDense = eigen.MethodDense
-	// MethodMultilevel coarsens the graph by heavy-edge matching, solves
-	// the coarsest level exactly, and refines the prolonged Fiedler vector
-	// up the hierarchy — the scalable path for large graphs. MethodAuto
-	// selects it automatically at or above SolverOptions.MultilevelCutoff
-	// vertices (default 8192).
-	MethodMultilevel = eigen.MethodMultilevel
-	// MethodExact is the single-level automatic choice (dense below the
-	// cutoff, inverse power above) — MethodAuto without multilevel
-	// dispatch.
+	// MethodExact forces the block solver (LOBPCG over the heavy-edge
+	// hierarchy) at every size. Setting it also opts a default grid build
+	// out of the closed form.
 	MethodExact = eigen.MethodExact
 )
 
-// ParseSolverMethod resolves a solver name ("auto", "exact", "multilevel",
-// "inverse-power", "lanczos", "dense") for flags and configs.
+// ParseSolverMethod resolves a solver name ("auto", "exact", "dense") for
+// flags and configs.
 func ParseSolverMethod(s string) (SolverMethod, error) { return eigen.ParseMethod(s) }
 
 // Curve is a space-filling curve with forward (Index) and inverse (Coords)
@@ -166,9 +154,6 @@ type Curve = sfc.Curve
 
 // Box is an axis-aligned range query.
 type Box = workload.Box
-
-// Store couples a mapping with a paged-storage simulator.
-type Store = storage.Store
 
 // IOStats is the simulated disk cost of one query.
 type IOStats = storage.IOStats
@@ -224,40 +209,6 @@ func LinearArrangementCost(g *Graph, rank []int) (float64, error) {
 
 // Bisect spectrally bisects a graph at the median of the spectral order.
 func Bisect(g *Graph, opt Options) (left, right []int, err error) { return core.Bisect(g, opt) }
-
-// NewMapping builds a mapping by name over a grid: "spectral" runs Spectral
-// LPM with cfg; curve names use the smallest covering curve of that family.
-//
-// Deprecated: use Build with WithGrid and WithMapping, which adds
-// concurrency-safe serving, batching, and persistence on top of the same
-// order. NewMapping remains as a thin wrapper for existing callers.
-func NewMapping(name string, g *Grid, cfg SpectralConfig) (*Mapping, error) {
-	return order.New(name, g, cfg)
-}
-
-// SpectralMapping runs Spectral LPM over a grid graph and wraps the result
-// as a Mapping.
-//
-// Deprecated: use Build with WithGrid (spectral is the default mapping);
-// WithConnectivity, WithEdgeWeights, WithAffinity, and WithSolver cover
-// everything SpectralConfig does.
-func SpectralMapping(g *Grid, cfg SpectralConfig) (*Mapping, error) {
-	return order.FromSpectral(g, cfg)
-}
-
-// CurveMapping ranks grid points by their index on the given curve
-// (compacting when the curve's cube exceeds the grid).
-//
-// Deprecated: use Build with WithGrid and WithMapping(name), which
-// constructs the smallest covering curve itself.
-func CurveMapping(g *Grid, c Curve) (*Mapping, error) { return order.FromCurve(g, c) }
-
-// MappingFromRanks wraps a precomputed rank permutation.
-//
-// Deprecated: use Build with WithGrid and WithRanks.
-func MappingFromRanks(name string, g *Grid, rank []int) (*Mapping, error) {
-	return order.FromRanks(name, g, rank)
-}
 
 // StandardMappings lists the mapping names the paper's experiments compare.
 func StandardMappings() []string { return order.StandardNames() }
@@ -330,12 +281,4 @@ func PartitionEdgeCut(g *Graph, labels []int) (float64, error) {
 // PartitionLabels flattens parts into per-vertex labels.
 func PartitionLabels(parts [][]int, n int) ([]int, error) {
 	return partition.Labels(parts, n)
-}
-
-// NewStore lays a mapping's points on fixed-size pages for I/O simulation.
-//
-// Deprecated: use Build with WithPageSize; Index.Pages and Index.QueryIO
-// replace Store.BoxQueryIO with a concurrency-safe, persistable surface.
-func NewStore(m *Mapping, recordsPerPage int) (*Store, error) {
-	return storage.NewStore(m, recordsPerPage)
 }

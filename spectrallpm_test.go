@@ -1,6 +1,7 @@
 package spectrallpm_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,11 +11,7 @@ import (
 // TestFacadeQuickstart exercises the README's quick-start path end to end
 // through the public API only.
 func TestFacadeQuickstart(t *testing.T) {
-	grid := spectrallpm.MustGrid(8, 8)
-	m, err := spectrallpm.NewMapping("spectral", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := buildMapping(t, "spectral", 8, 8)
 	if m.N() != 64 {
 		t.Fatalf("N = %d", m.N())
 	}
@@ -72,16 +69,19 @@ func TestFacadeCurvesAndStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := spectrallpm.MustGrid(8, 8)
-	m, err := spectrallpm.CurveMapping(grid, h)
+	ix, err := spectrallpm.Build(context.Background(), spectrallpm.WithGrid(8, 8),
+		spectrallpm.WithMapping("hilbert"), spectrallpm.WithPageSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := spectrallpm.NewStore(m, 4)
-	if err != nil {
-		t.Fatal(err)
+	// The index ranks points by their index on the curve.
+	for id := 0; id < 64; id++ {
+		coords := ix.Mapping().Grid().Coords(id, nil)
+		if r, err := ix.Rank(coords...); err != nil || r != int(h.Index(coords)) {
+			t.Fatalf("point %v: rank %d (%v), curve index %d", coords, r, err, h.Index(coords))
+		}
 	}
-	io, err := store.BoxQueryIO(spectrallpm.Box{Start: []int{0, 0}, Dims: []int{2, 2}})
+	io, err := ix.QueryIO(spectrallpm.Box{Start: []int{0, 0}, Dims: []int{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +110,15 @@ func TestFacadeBisectAndCosts(t *testing.T) {
 }
 
 func TestFacadeStandardMappingsAll(t *testing.T) {
-	grid := spectrallpm.MustGrid(5, 5)
 	for _, name := range spectrallpm.StandardMappings() {
-		m, err := spectrallpm.NewMapping(name, grid, spectrallpm.SpectralConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if m.N() != 25 {
+		if m := buildMapping(t, name, 5, 5); m.N() != 25 {
 			t.Fatalf("%s: N=%d", name, m.N())
 		}
 	}
 }
 
 func TestFacadePartialRangeSpanAndPairwise(t *testing.T) {
-	grid := spectrallpm.MustGrid(6, 6)
-	m, err := spectrallpm.NewMapping("hilbert", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := buildMapping(t, "hilbert", 6, 6)
 	ps, err := spectrallpm.PartialRangeSpan(m, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,26 +142,28 @@ func TestFacadePartialRangeSpanAndPairwise(t *testing.T) {
 
 func TestFacadeSolverOptionsPlumbing(t *testing.T) {
 	grid := spectrallpm.MustGrid(10, 10)
-	m, err := spectrallpm.SpectralMapping(grid, spectrallpm.SpectralConfig{
-		Solver: spectrallpm.SolverOptions{Method: spectrallpm.MethodLanczos, Seed: 9},
-	})
+	want := 4 * math.Pow(math.Sin(math.Pi/20), 2)
+	// Solver options reach the build: forcing the block solver opts out of
+	// the closed form, and the solve finds the closed-form λ₂.
+	ix, err := spectrallpm.Build(context.Background(), spectrallpm.WithGrid(10, 10),
+		spectrallpm.WithSolver(spectrallpm.SolverOptions{Method: spectrallpm.MethodExact, Seed: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.N() != 100 {
-		t.Fatal("bad mapping")
+	if ix.N() != 100 || ix.Solver() == spectrallpm.SolverClosedForm {
+		t.Fatalf("index n=%d solver %q, want a 100-point solved index", ix.N(), ix.Solver())
 	}
-	// Ranks via different solvers must induce equally optimal assignments
-	// (possibly different orders on the degenerate eigenspace, but the
-	// induced λ₂ matches).
+	if l2 := ix.Lambda2(); len(l2) != 1 || math.Abs(l2[0]-want) > 1e-6 {
+		t.Errorf("index λ₂ = %v, want %v", l2, want)
+	}
+	// The graph-level entry point takes the same options.
 	g := spectrallpm.GridGraph(grid, spectrallpm.Orthogonal)
 	res, err := spectrallpm.SpectralOrder(g, spectrallpm.Options{
-		Solver: spectrallpm.SolverOptions{Method: spectrallpm.MethodInversePower, Seed: 1},
+		Solver: spectrallpm.SolverOptions{Method: spectrallpm.MethodExact, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4 * math.Pow(math.Sin(math.Pi/20), 2)
 	if math.Abs(res.Lambda2[0]-want) > 1e-6 {
 		t.Errorf("λ₂ = %v, want %v", res.Lambda2[0], want)
 	}
